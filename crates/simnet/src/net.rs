@@ -834,27 +834,212 @@ mod tests {
         assert_eq!(single_net.counters().envelopes, 0);
     }
 
-    #[test]
-    fn faulted_envelope_with_empty_plan_matches_plain() {
-        let cfg = NetworkConfig::default();
-        let mut plain = Network::new(cfg, 16);
-        let mut faulted = Network::with_faults(cfg, 16, &FaultPlan::new());
-        let a = plain.send_envelope(SimTime::ZERO, 5, 0, 640, 4);
-        let b = faulted.send_envelope_faulted(SimTime::ZERO, 5, 0, 640, 4);
-        assert_eq!(b, SendOutcome::Delivered(a));
-        assert_eq!(plain.counters(), faulted.counters());
+    /// The three frame kinds the runtime sends, at fixed sizes: a
+    /// request-sized message, a 4-member envelope and a heartbeat probe.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Message,
+        Envelope,
+        Probe,
+    }
+
+    impl Kind {
+        const ALL: [Kind; 3] = [Kind::Message, Kind::Envelope, Kind::Probe];
+
+        /// Bytes on the wire and the receiver's extra unpack cost.
+        fn wire(self, cfg: &NetworkConfig) -> (u64, SimTime) {
+            match self {
+                Kind::Message => (256, SimTime::ZERO),
+                Kind::Envelope => (cfg.envelope_bytes(640, 4), cfg.env_unpack * 3),
+                Kind::Probe => (64, SimTime::ZERO),
+            }
+        }
+
+        fn fire(self, net: &mut Network, now: SimTime, src: u32, dst: u32) -> SendOutcome {
+            match self {
+                Kind::Message => net.send_faulted(now, src, dst, 256),
+                Kind::Envelope => net.send_envelope_faulted(now, src, dst, 640, 4),
+                Kind::Probe => net.send_probe(now, src, dst, 64),
+            }
+        }
+    }
+
+    /// Where a frame's walk ended, as the ledger must record it.
+    #[derive(Clone, Copy, Debug)]
+    enum Fate {
+        /// Delivered through host memory, never touching the NIC.
+        Local,
+        /// Refused at the sender's port, before the TX engine.
+        Refused(DropReason),
+        /// Lost after crossing this many links.
+        Lost(DropReason, u32),
+        /// Delivered over the whole route.
+        Arrived { corrupt: bool },
     }
 
     #[test]
-    fn envelope_to_crashed_destination_is_dropped() {
-        let plan = FaultPlan::new().crash_node(SimTime::ZERO, 0);
-        let mut net = Network::with_faults(NetworkConfig::default(), 8, &plan);
-        match net.send_envelope_faulted(SimTime::from_micros(1), 5, 0, 320, 2) {
-            SendOutcome::Dropped { reason, .. } => assert_eq!(reason, DropReason::DestDead),
-            other => panic!("expected a dest-dead drop, got {other:?}"),
+    fn counter_ledger_per_drop_reason() {
+        let cfg = NetworkConfig {
+            torus_dims: Some([8, 8, 8]),
+            ..NetworkConfig::default()
+        };
+        let (src, dst) = (3, 0);
+        let walk = Network::new(cfg, 8);
+        let route = walk
+            .torus
+            .route_links(walk.placement.slot(src), walk.placement.slot(dst));
+        let hops = route.len() as u32;
+        assert!(hops >= 2, "the route needs a later hop to fail");
+        let (first, last) = (route[0], route[route.len() - 1]);
+        let fail =
+            |id: u32| FaultPlan::new().fail_link(id / 6, (id % 6) as u8, SimTime::ZERO, None);
+        let (t0, t1, t2) = (SimTime::ZERO, SimTime::from_secs(1), SimTime::from_secs(2));
+        let rows = [
+            ("no plan, intra-node", None, src, Fate::Local),
+            ("no plan", None, dst, Fate::Arrived { corrupt: false }),
+            (
+                "empty plan",
+                Some(FaultPlan::new()),
+                dst,
+                Fate::Arrived { corrupt: false },
+            ),
+            (
+                "lossy plan, intra-node",
+                Some(FaultPlan::new().drop_window(t0, t1, 1.0)),
+                src,
+                Fate::Local,
+            ),
+            (
+                "source dead",
+                Some(FaultPlan::new().crash_node(t0, src)),
+                dst,
+                Fate::Refused(DropReason::SourceDead),
+            ),
+            (
+                "partitioned",
+                Some(FaultPlan::new().partition(t0, t1, vec![(src, dst)])),
+                dst,
+                Fate::Refused(DropReason::Partitioned),
+            ),
+            (
+                "first link down",
+                Some(fail(first)),
+                dst,
+                Fate::Lost(DropReason::LinkDown, 0),
+            ),
+            (
+                "last link down",
+                Some(fail(last)),
+                dst,
+                Fate::Lost(DropReason::LinkDown, hops - 1),
+            ),
+            (
+                "dest dead",
+                Some(FaultPlan::new().crash_node(t0, dst)),
+                dst,
+                Fate::Lost(DropReason::DestDead, hops),
+            ),
+            (
+                "transient",
+                Some(FaultPlan::new().drop_window(t0, t1, 1.0)),
+                dst,
+                Fate::Lost(DropReason::Transient, hops),
+            ),
+            (
+                "corrupt",
+                Some(FaultPlan::new().corrupt_window(t0, t1, 1.0)),
+                dst,
+                Fate::Arrived { corrupt: true },
+            ),
+            (
+                "clean under a plan",
+                Some(FaultPlan::new().drop_window(t1, t2, 1.0)),
+                dst,
+                Fate::Arrived { corrupt: false },
+            ),
+        ];
+        let now = SimTime::from_micros(1);
+        for (name, plan, to, fate) in rows {
+            for kind in Kind::ALL {
+                if matches!((kind, fate), (Kind::Envelope, Fate::Local)) {
+                    continue; // Envelopes are inter-node (see below).
+                }
+                let mut net = match &plan {
+                    Some(p) => Network::with_faults(cfg, 8, p),
+                    None => Network::new(cfg, 8),
+                };
+                if plan.as_ref().is_some_and(FaultPlan::is_empty) {
+                    assert!(!net.faults_enabled(), "an empty plan installs nothing");
+                }
+                let out = kind.fire(&mut net, now, src, to);
+
+                let (bytes, unpack) = kind.wire(&cfg);
+                let entered = now + cfg.tx_overhead + cfg.inj_time(bytes);
+                let arrival = entered + cfg.hop_latency * u64::from(hops) + cfg.link_time(bytes);
+                let mut want = NetCounters {
+                    probes: u64::from(matches!(kind, Kind::Probe)),
+                    ..NetCounters::default()
+                };
+                // Past the sender's port a frame counts as sent, over the
+                // links it actually crossed.
+                let mut on_wire = |crossed: u32| {
+                    want.messages = 1;
+                    want.bytes = bytes;
+                    want.hops = u64::from(crossed);
+                    if let Kind::Envelope = kind {
+                        want.envelopes = 1;
+                        want.coalesced_requests = 4;
+                    }
+                };
+                let expected = match fate {
+                    Fate::Local => SendOutcome::Delivered(Delivery {
+                        at: now + cfg.shm_latency,
+                        stream_miss: false,
+                        hops: 0,
+                        corrupt: false,
+                    }),
+                    Fate::Refused(reason) => SendOutcome::Dropped { at: now, reason },
+                    Fate::Lost(reason, crossed) => {
+                        on_wire(crossed);
+                        let at = match reason {
+                            DropReason::LinkDown => entered + cfg.hop_latency * u64::from(crossed),
+                            _ => arrival,
+                        };
+                        SendOutcome::Dropped { at, reason }
+                    }
+                    Fate::Arrived { corrupt } => {
+                        on_wire(hops);
+                        SendOutcome::Delivered(Delivery {
+                            // First contact always misses the stream table.
+                            at: arrival
+                                + cfg.rx_base
+                                + cfg.rx_time(bytes)
+                                + cfg.stream_miss_penalty
+                                + unpack,
+                            stream_miss: true,
+                            hops,
+                            corrupt,
+                        })
+                    }
+                };
+                match fate {
+                    Fate::Local => want.local_messages = 1,
+                    Fate::Refused(_) | Fate::Lost(..) => want.dropped = 1,
+                    Fate::Arrived { corrupt } => {
+                        want.stream_misses = 1;
+                        want.corrupted = u64::from(corrupt);
+                    }
+                }
+                assert_eq!(out, expected, "{name} / {kind:?}");
+                assert_eq!(net.counters(), want, "{name} / {kind:?}");
+            }
         }
-        assert_eq!(net.counters().dropped, 1);
-        assert_eq!(net.counters().envelopes, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "inter-node")]
+    fn intra_node_envelope_panics() {
+        quiet_net(4).send_envelope_faulted(SimTime::ZERO, 2, 2, 640, 4);
     }
 
     #[test]
@@ -939,23 +1124,6 @@ mod tests {
             ..NetworkConfig::default()
         };
         Network::new(cfg, 9);
-    }
-
-    use crate::fault::{DropReason, FaultPlan};
-
-    #[test]
-    fn empty_plan_behaves_exactly_like_no_plan() {
-        let cfg = NetworkConfig::default();
-        let mut plain = Network::new(cfg, 16);
-        let mut faulted = Network::with_faults(cfg, 16, &FaultPlan::new());
-        assert!(!faulted.faults_enabled());
-        for (src, dst, bytes) in [(1, 0, 4_096u64), (5, 0, 64), (3, 3, 128), (9, 2, 10_000)] {
-            let a = plain.send(SimTime::ZERO, src, dst, bytes);
-            let b = faulted.send_faulted(SimTime::ZERO, src, dst, bytes);
-            assert_eq!(b, SendOutcome::Delivered(a));
-        }
-        assert_eq!(plain.counters(), faulted.counters());
-        assert_eq!(faulted.counters().dropped, 0);
     }
 
     #[test]
