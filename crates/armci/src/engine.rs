@@ -25,9 +25,7 @@ use crate::workload::{Action, ProcCtx, Program};
 use vt_core::ldf::{self, HopDecision};
 use vt_core::{FxHashMap, FxHashSet, Grid, Shape, SurvivorPacking, TopologyKind, VirtualTopology};
 use vt_simnet::fault::{NodeCrash, NodeRestart, PartitionWindow};
-use vt_simnet::{
-    ArrivalGen, Delivery, DetRng, EventQueue, FaultPlan, Network, SendOutcome, SimTime,
-};
+use vt_simnet::{ArrivalGen, DetRng, EventQueue, FaultPlan, Frame, Network, SendOutcome, SimTime};
 
 /// Engine events.
 #[derive(Clone, Copy, Debug)]
@@ -89,6 +87,9 @@ enum Event {
 
 /// Wire size of a failure-detector heartbeat probe (and its ack).
 const PROBE_BYTES: u64 = 16;
+
+/// A failure-detector heartbeat probe frame.
+const PROBE: Frame = Frame::Probe(PROBE_BYTES);
 
 /// An in-flight one-sided request.
 #[derive(Clone, Copy, Debug)]
@@ -823,8 +824,8 @@ impl Engine {
     /// dedup, no-reuse slab discipline) is live. Serving needs it even
     /// without a fault plan: past saturation, responses outlive their
     /// timeouts routinely, and retransmissions must stay exactly-once.
-    /// Without a plan the network's faulted paths degrade to the plain
-    /// ones, so this substitution alone changes no timing.
+    /// Without a plan the network's fault filter does nothing, so this
+    /// substitution alone changes no timing.
     fn recovery_on(&self) -> bool {
         self.faults_on() || self.serve_on()
     }
@@ -1216,24 +1217,17 @@ impl Engine {
             }
         } else if op.kind.is_direct() {
             // RDMA path: request to the target NIC, hardware-level response.
+            if self.node_gone(target_node, now) {
+                self.rank_fail(now, rank, req);
+                return;
+            }
             let t0 = now + self.cfg.issue_overhead;
-            if self.faults_on() {
-                if self.node_gone(target_node, now) {
-                    self.rank_fail(now, rank, req);
-                    return;
-                }
-                self.send_direct(t0, req);
+            // Direct ops carry recovery state (notify dedup, a response
+            // timer) only under a fault plan; serving alone arms neither.
+            let recover = self.faults_on();
+            self.send_direct(t0, req, recover);
+            if recover {
                 self.arm_timeout(t0, req);
-            } else {
-                let d1 = self.net.send(t0, src_node, target_node, op.request_bytes());
-                let d2 = self
-                    .net
-                    .send(d1.at, target_node, src_node, op.response_bytes());
-                self.queue.schedule(d2.at, Event::ResponseArrive { req });
-                if op.notify {
-                    self.queue
-                        .schedule(d1.at, Event::NotifyArrive { target: op.target });
-                }
             }
         } else {
             // CHT path over the virtual topology.
@@ -1374,87 +1368,84 @@ impl Engine {
         self.queue.schedule(now + delay, Event::Timeout { req });
     }
 
-    /// Sends a direct (RDMA-path) request under faults: dropped messages
-    /// are simply lost — the origin's timer recovers them.
-    fn send_direct(&mut self, t0: SimTime, req: ReqId) {
-        let r = self.requests[req as usize];
-        match self
-            .net
-            .send_faulted(t0, r.origin_node, r.target_node, r.op.request_bytes())
-        {
-            SendOutcome::Dropped { .. } => {}
-            SendOutcome::Delivered(d1) => {
-                let Some(d1) = self.checksum(d1) else {
-                    return; // Corrupt request: the target discards it.
-                };
-                if r.op.notify {
-                    // Exactly-once notification across retransmissions.
-                    let fresh = self
-                        .seen
-                        .insert((r.origin.0, r.seq), DedupState::Pending)
-                        .is_none();
-                    if fresh {
-                        self.queue.schedule(
-                            d1.at,
-                            Event::NotifyArrive {
-                                target: r.op.target,
-                            },
-                        );
-                    } else {
-                        self.faults.dedup_hits += 1;
-                    }
-                }
-                match self.net.send_faulted(
-                    d1.at,
-                    r.target_node,
-                    r.origin_node,
-                    r.op.response_bytes(),
-                ) {
-                    SendOutcome::Dropped { .. } => {}
-                    SendOutcome::Delivered(d2) => {
-                        if self.checksum(d2).is_some() {
-                            self.queue.schedule(d2.at, Event::ResponseArrive { req });
-                        }
-                    }
-                }
+    /// Puts one frame on the wire from `from` to `to` at `at` and runs the
+    /// receiver's end-to-end checksum: `Ok` with the arrival time of a
+    /// clean copy, `Err` with the instant the copy was destroyed — lost in
+    /// flight, or discarded on arrival because its payload was corrupted
+    /// (counted in `FaultStats::corrupt_detected`). Every delivery passes
+    /// through here, so each corrupt frame is caught exactly once. Callers
+    /// treat both `Err` cases alike: sender-side reclaim timers and origin
+    /// response timers recover whatever the frame carried. Without a fault
+    /// plan every frame arrives clean.
+    fn transmit(
+        &mut self,
+        at: SimTime,
+        from: NodeId,
+        to: NodeId,
+        frame: Frame,
+    ) -> Result<SimTime, SimTime> {
+        match self.net.transmit(at, from, to, frame) {
+            SendOutcome::Delivered(d) if d.corrupt => {
+                self.faults.corrupt_detected += 1;
+                Err(d.at)
             }
+            SendOutcome::Delivered(d) => Ok(d.at),
+            SendOutcome::Dropped { at, .. } => Err(at),
         }
     }
 
-    /// Puts a request on the wire towards `to` at time `at`. Under faults a
-    /// dropped copy schedules a delayed reclaim of the hop's buffer credit
-    /// (the upstream sender's local ack-timeout); the origin's response
-    /// timer recovers the operation itself.
+    /// Sends a direct (RDMA-path) request and its hardware-level response.
+    /// A destroyed copy is simply gone — the origin's timer recovers it.
+    /// With `dedup`, a notify fires at most once across retransmissions.
+    fn send_direct(&mut self, t0: SimTime, req: ReqId, dedup: bool) {
+        let r = self.requests[req as usize];
+        let request = Frame::Message(r.op.request_bytes());
+        let Ok(d1) = self.transmit(t0, r.origin_node, r.target_node, request) else {
+            return;
+        };
+        if r.op.notify {
+            let fresh = !dedup
+                || self
+                    .seen
+                    .insert((r.origin.0, r.seq), DedupState::Pending)
+                    .is_none();
+            if fresh {
+                self.queue.schedule(
+                    d1,
+                    Event::NotifyArrive {
+                        target: r.op.target,
+                    },
+                );
+            } else {
+                self.faults.dedup_hits += 1;
+            }
+        }
+        let response = Frame::Message(r.op.response_bytes());
+        if let Ok(d2) = self.transmit(d1, r.target_node, r.origin_node, response) {
+            self.queue.schedule(d2, Event::ResponseArrive { req });
+        }
+    }
+
+    /// Puts a request on the wire towards `to` at time `at`. A destroyed
+    /// copy schedules a delayed reclaim of the hop's buffer credit (the
+    /// upstream sender's local ack-timeout); the origin's response timer
+    /// recovers the operation itself.
     fn send_request(&mut self, at: SimTime, req: ReqId, from: NodeId, to: NodeId) {
         let bytes = self.requests[req as usize].op.request_bytes();
-        if !self.faults_on() {
-            let d = self.net.send(at, from, to, bytes);
-            self.queue
-                .schedule(d.at, Event::RequestArrive { req, node: to });
-            return;
+        match self.transmit(at, from, to, Frame::Message(bytes)) {
+            Ok(arrival) => self
+                .queue
+                .schedule(arrival, Event::RequestArrive { req, node: to }),
+            Err(destroyed_at) => {
+                let r = self.requests[req as usize];
+                let key = CreditKey {
+                    sender: r.prev_sender,
+                    edge: (from, to),
+                    class: r.vc_class,
+                };
+                self.reclaim_later(destroyed_at, key);
+            }
         }
-        let destroyed_at = match self.net.send_faulted(at, from, to, bytes) {
-            SendOutcome::Delivered(d) => match self.checksum(d) {
-                Some(d) => {
-                    self.queue
-                        .schedule(d.at, Event::RequestArrive { req, node: to });
-                    return;
-                }
-                // A corrupt request is discarded at delivery: from the
-                // credit machinery's view the copy was destroyed then.
-                None => d.at,
-            },
-            SendOutcome::Dropped { at: drop_at, .. } => drop_at,
-        };
-        let r = self.requests[req as usize];
-        self.reclaim_later(
-            destroyed_at,
-            CreditKey {
-                sender: r.prev_sender,
-                edge: (from, to),
-                class: r.vc_class,
-            },
-        );
     }
 
     /// Schedules a delayed credit release modelling the upstream sender's
@@ -1499,7 +1490,7 @@ impl Engine {
     /// downstream credit is exhausted (they keep their upstream buffer) and
     /// starts the first serviceable request, if any.
     fn cht_try_start(&mut self, now: SimTime, node: NodeId) {
-        if self.faults_on() && self.net.node_dead(node, now) {
+        if self.net.node_dead(node, now) {
             return;
         }
         if self.chts[node as usize].is_busy() {
@@ -1749,7 +1740,7 @@ impl Engine {
     /// buffer, restamp the members for the shared hop and put the envelope
     /// on the wire as one message.
     fn cht_env_done(&mut self, now: SimTime, node: NodeId, env: u32) {
-        if self.faults_on() && self.net.node_dead(node, now) {
+        if self.net.node_dead(node, now) {
             // The assembling node died mid-service: every member copy dies
             // with it; their upstream buffers come back via reclaim timers.
             // The envelope slot is abandoned, so its member list moves out.
@@ -1790,29 +1781,19 @@ impl Engine {
         self.coalesce.largest_envelope = self.coalesce.largest_envelope.max(payload);
         self.coalesce.deepest_fold = self.coalesce.deepest_fold.max(n);
         self.envelopes[env as usize].members = members;
-        if !self.faults_on() {
-            let d = self.net.send_envelope(now, node, to, payload, n);
-            self.queue
-                .schedule(d.at, Event::EnvelopeArrive { env, node: to });
-        } else {
-            match self.net.send_envelope_faulted(now, node, to, payload, n) {
-                SendOutcome::Delivered(d) => match self.checksum(d) {
-                    Some(d) => {
-                        self.queue
-                            .schedule(d.at, Event::EnvelopeArrive { env, node: to });
-                    }
-                    // A corrupt envelope fails its checksum as a unit:
-                    // recovered exactly like a dropped one.
-                    None => self.reclaim_later(d.at, CreditKey::cht(node, to, class)),
-                },
-                SendOutcome::Dropped { at, .. } => {
-                    // The envelope (and every member copy inside it) is
-                    // destroyed; its single downstream credit comes back via
-                    // the sender's reclaim timer and the origins' response
-                    // timers recover the operations.
-                    self.reclaim_later(at, CreditKey::cht(node, to, class));
-                }
-            }
+        let envelope = Frame::Envelope {
+            payload_bytes: payload,
+            subreqs: n,
+        };
+        match self.transmit(now, node, to, envelope) {
+            Ok(arrival) => self
+                .queue
+                .schedule(arrival, Event::EnvelopeArrive { env, node: to }),
+            // The envelope (and every member copy inside it) is destroyed as
+            // a unit; its single downstream credit comes back via the
+            // sender's reclaim timer and the origins' response timers
+            // recover the operations.
+            Err(at) => self.reclaim_later(at, CreditKey::cht(node, to, class)),
         }
         if self.chts[node as usize].queue_len() > 0 {
             self.queue.schedule(now, Event::ChtTryStart { node });
@@ -1849,15 +1830,20 @@ impl Engine {
     }
 
     /// Frees the upstream buffer held by `req`'s last hop into `node`. An
-    /// individual request gets its own ack ([`Engine::ack_upstream`]); an
-    /// envelope member instead decrements its envelope's pending count, and
-    /// the last member out sends ONE aggregated ack releasing the
-    /// envelope's single credit — the paper's reply aggregation on the
-    /// return path.
+    /// individual request gets its own ack; an envelope member instead
+    /// decrements its envelope's pending count, and the last member out
+    /// sends ONE aggregated ack releasing the envelope's single credit —
+    /// the paper's reply aggregation on the return path.
     fn ack_member(&mut self, now: SimTime, node: NodeId, req: ReqId) {
-        let slot = self.requests[req as usize].env_slot;
+        let r = self.requests[req as usize];
+        let slot = r.env_slot;
         if slot == NO_ENV {
-            self.ack_upstream(now, node, req);
+            let key = CreditKey {
+                sender: r.prev_sender,
+                edge: (r.prev_node, node),
+                class: r.vc_class,
+            };
+            self.send_ack(now, node, r.prev_node, key);
             return;
         }
         self.requests[req as usize].env_slot = NO_ENV;
@@ -1869,21 +1855,9 @@ impl Engine {
             return;
         }
         let (from, class) = (env.from, env.class);
-        let key = CreditKey::cht(from, node, class);
         self.coalesce.agg_acks += 1;
-        if !self.faults_on() {
-            let ack = self.net.send(now, node, from, Op::ack_bytes());
-            self.queue.schedule(ack.at, Event::AckArrive { key });
-            self.free_env(slot);
-            return;
-        }
-        match self.net.send_faulted(now, node, from, Op::ack_bytes()) {
-            SendOutcome::Delivered(ack) => match self.checksum(ack) {
-                Some(ack) => self.queue.schedule(ack.at, Event::AckArrive { key }),
-                None => self.reclaim_later(ack.at, key),
-            },
-            SendOutcome::Dropped { at, .. } => self.reclaim_later(at, key),
-        }
+        self.send_ack(now, node, from, CreditKey::cht(from, node, class));
+        self.free_env(slot);
     }
 
     /// Fault-path sibling of [`Engine::ack_member`]: the copy of `req` at
@@ -1914,40 +1888,18 @@ impl Engine {
         }
     }
 
-    /// Returns the upstream sender's buffer credit for `req`'s last hop
-    /// into `node` with an explicit ack message.
-    fn ack_upstream(&mut self, now: SimTime, node: NodeId, req: ReqId) {
-        let r = self.requests[req as usize];
-        let up_key = CreditKey {
-            sender: r.prev_sender,
-            edge: (r.prev_node, node),
-            class: r.vc_class,
-        };
-        if !self.faults_on() {
-            let ack = self.net.send(now, node, r.prev_node, Op::ack_bytes());
-            self.queue
-                .schedule(ack.at, Event::AckArrive { key: up_key });
-            return;
-        }
-        match self
-            .net
-            .send_faulted(now, node, r.prev_node, Op::ack_bytes())
-        {
-            SendOutcome::Delivered(ack) => match self.checksum(ack) {
-                Some(ack) => {
-                    self.queue
-                        .schedule(ack.at, Event::AckArrive { key: up_key });
-                }
-                None => self.reclaim_later(ack.at, up_key),
-            },
-            // A lost ack still frees the buffer eventually: the upstream
-            // sender's reclaim timer fires instead.
-            SendOutcome::Dropped { at, .. } => self.reclaim_later(at, up_key),
+    /// Sends the ack releasing credit `key` from `node` back to `to`. A
+    /// destroyed ack still frees the buffer eventually: the upstream
+    /// sender's reclaim timer fires instead.
+    fn send_ack(&mut self, now: SimTime, node: NodeId, to: NodeId, key: CreditKey) {
+        match self.transmit(now, node, to, Frame::Message(Op::ack_bytes())) {
+            Ok(arrival) => self.queue.schedule(arrival, Event::AckArrive { key }),
+            Err(at) => self.reclaim_later(at, key),
         }
     }
 
     fn cht_done(&mut self, now: SimTime, node: NodeId, req: ReqId) {
-        if self.faults_on() && self.net.node_dead(node, now) {
+        if self.net.node_dead(node, now) {
             // The node died while this request was in service: the copy is
             // destroyed with it, and the upstream buffer is reclaimed by
             // its owner's local timer.
@@ -2053,26 +2005,13 @@ impl Engine {
         if r.target_node == r.origin_node {
             let at = now + self.net.config().shm_latency;
             self.queue.schedule(at, Event::ResponseArrive { req });
-        } else if self.faults_on() {
-            match self
-                .net
-                .send_faulted(now, r.target_node, r.origin_node, r.op.response_bytes())
-            {
-                SendOutcome::Delivered(resp) => {
-                    if self.checksum(resp).is_some() {
-                        self.queue.schedule(resp.at, Event::ResponseArrive { req });
-                    }
-                }
-                // A lost (or corrupt) response is recovered by the origin's
-                // timer; the retransmitted request will hit the dedup table
-                // and be re-answered.
-                SendOutcome::Dropped { .. } => {}
-            }
-        } else {
-            let resp = self
-                .net
-                .send(now, r.target_node, r.origin_node, r.op.response_bytes());
-            self.queue.schedule(resp.at, Event::ResponseArrive { req });
+            return;
+        }
+        // A destroyed response is recovered by the origin's timer; the
+        // retransmitted request will hit the dedup table and be re-answered.
+        let response = Frame::Message(r.op.response_bytes());
+        if let Ok(arrival) = self.transmit(now, r.target_node, r.origin_node, response) {
+            self.queue.schedule(arrival, Event::ResponseArrive { req });
         }
     }
 
@@ -2153,7 +2092,7 @@ impl Engine {
                 }
             }
             Some(Waiter::Fwd { node, req }) => {
-                if self.faults_on() && self.net.node_dead(node, now) {
+                if self.net.node_dead(node, now) {
                     // The forwarder died while parked: the copy it held is
                     // gone. Reclaim its upstream buffer and pass the
                     // just-granted downstream credit on.
@@ -2318,7 +2257,9 @@ impl Engine {
                 self.rank_fail(now, rank, new_req);
                 return;
             }
-            self.send_direct(now, new_req);
+            // Only a fault plan arms direct-op timers, so this is a
+            // fault-mode retransmission.
+            self.send_direct(now, new_req, true);
             return;
         }
         let (decision, rerouted) = self.first_hop(old.origin_node, old.target_node);
@@ -2550,16 +2491,14 @@ impl Engine {
         });
         if let Some(peer) = peer {
             self.membership.stats.probes += 1;
-            if let SendOutcome::Delivered(d) = self.net.send_probe(now, node, peer, PROBE_BYTES) {
-                if self.checksum(d).is_some() {
-                    self.queue.schedule(
-                        d.at,
-                        Event::ProbeArrive {
-                            node: peer,
-                            prober: node,
-                        },
-                    );
-                }
+            if let Ok(arrival) = self.transmit(now, node, peer, PROBE) {
+                self.queue.schedule(
+                    arrival,
+                    Event::ProbeArrive {
+                        node: peer,
+                        prober: node,
+                    },
+                );
             }
         }
         self.queue.schedule(
@@ -2593,19 +2532,6 @@ impl Engine {
         self.partition_plan
             .iter()
             .any(|w| now >= w.from && now < w.until && w.involves(node))
-    }
-
-    /// End-to-end envelope checksum at the receiver: a corrupt frame is
-    /// discarded on arrival. Callers treat `None` exactly like a network
-    /// drop at the delivery instant — sender-side reclaim timers and
-    /// origin response timers recover whatever the frame carried.
-    fn checksum(&mut self, d: Delivery) -> Option<Delivery> {
-        if d.corrupt {
-            self.faults.corrupt_detected += 1;
-            None
-        } else {
-            Some(d)
-        }
     }
 
     // ----- membership: detection, epochs, live re-packing ----------------
@@ -2757,13 +2683,9 @@ impl Engine {
                 .find(|&p| p != node && self.membership.confirmed.binary_search(&p).is_err());
             if let Some(prober) = prober {
                 self.membership.stats.probes += 1;
-                if let SendOutcome::Delivered(d) =
-                    self.net.send_probe(now, prober, node, PROBE_BYTES)
-                {
-                    if self.checksum(d).is_some() {
-                        self.queue
-                            .schedule(d.at, Event::ProbeArrive { node, prober });
-                    }
+                if let Ok(arrival) = self.transmit(now, prober, node, PROBE) {
+                    self.queue
+                        .schedule(arrival, Event::ProbeArrive { node, prober });
                 }
             }
             let expected = self.membership.mean_interval_ns[idx].max(period.as_nanos() as f64);
@@ -2814,10 +2736,9 @@ impl Engine {
         }
         // Receiving a probe is itself evidence that the prober is alive.
         self.heard_from(prober, now);
-        if let SendOutcome::Delivered(d) = self.net.send_faulted(now, node, prober, PROBE_BYTES) {
-            if self.checksum(d).is_some() {
-                self.queue.schedule(d.at, Event::ProbeAck { node });
-            }
+        // The ack is a plain probe-sized message, not a probe of its own.
+        if let Ok(arrival) = self.transmit(now, node, prober, Frame::Message(PROBE_BYTES)) {
+            self.queue.schedule(arrival, Event::ProbeAck { node });
         }
     }
 
@@ -3625,7 +3546,7 @@ mod tests {
     #[test]
     fn membership_with_empty_plan_is_byte_identical() {
         // Enabling membership without any scheduled fault must not
-        // change a single event: the detector is gated on faults_on().
+        // change a single event: the detector needs a fault plan.
         let mk = |r: Rank| -> Box<dyn Program> {
             Box::new(ScriptProgram::new(vec![
                 Action::Op(Op::put_v(Rank((r.0 + 3) % 16), 4, 768)),

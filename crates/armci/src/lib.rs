@@ -72,7 +72,6 @@ pub mod memory;
 pub mod metrics;
 pub mod ops;
 pub mod sim;
-pub mod trace;
 pub mod workload;
 
 pub use config::{

@@ -69,9 +69,8 @@ impl std::fmt::Display for LintError {
 /// Classifies a repo-relative source path into the rule scopes that apply.
 ///
 /// * Protocol paths (D1/D4): `crates/armci/src` and `crates/simnet/src`,
-///   minus the reporting modules `metrics.rs` / `stats.rs` / `trace.rs`
-///   (percentile and trace rendering legitimately use floats and ordered
-///   output formatting).
+///   minus the reporting modules `metrics.rs` / `stats.rs` (percentile
+///   rendering legitimately uses floats and ordered output formatting).
 /// * Sim crates (D2): `core`, `simnet`, `armci`, `analyze`, `apps`, `ga`.
 ///   `vt-bench` measures wall-clock time *by design* and the root CLI
 ///   parses `env::args`; both stay outside D2 (D3/P1 still apply there).
@@ -82,7 +81,7 @@ pub fn classify(rel_path: &str) -> FileScope {
         .and_then(|r| r.split('/').next())
         .unwrap_or(if p.starts_with("src/") { "root" } else { "" });
     let stem = p.rsplit('/').next().unwrap_or("");
-    let reporting = matches!(stem, "metrics.rs" | "stats.rs" | "trace.rs");
+    let reporting = matches!(stem, "metrics.rs" | "stats.rs");
     FileScope {
         protocol_path: matches!(crate_name, "armci" | "simnet") && !reporting,
         sim_crate: matches!(

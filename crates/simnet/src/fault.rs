@@ -10,17 +10,17 @@
 //! produces byte-identical timelines, so every failure scenario is a
 //! reproducible experiment rather than a flake.
 //!
-//! The plan is interpreted in two places. [`crate::net::Network`] consults
-//! it on every send: messages to or from a crashed node, messages whose
-//! route crosses a failed link, and messages caught by a drop window are
-//! returned as [`crate::net::SendOutcome::Dropped`] instead of a delivery.
-//! The runtime layer above (vt-armci) schedules the node-crash instants as
-//! events so it can retire the node's processes and steer new routes
-//! around it.
+//! The plan is interpreted in two places. [`crate::net::Network`] applies
+//! it as a filter on its one transmit pipeline: frames to or from a
+//! crashed node, frames whose route crosses a failed link, and frames
+//! caught by a drop window are returned as
+//! [`crate::net::SendOutcome::Dropped`] instead of a delivery. The runtime
+//! layer above (vt-armci) schedules the node-crash instants as events so
+//! it can retire the node's processes and steer new routes around it.
 //!
-//! An **empty** plan costs nothing: the network takes its unfaulted send
-//! path and the runtime arms no timers, so a run with `FaultPlan::new()`
-//! is event-for-event identical to one built without a plan at all.
+//! An **empty** plan costs nothing: the network installs no filter and the
+//! runtime arms no timers, so a run with `FaultPlan::new()` is
+//! event-for-event identical to one built without a plan at all.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -35,11 +35,17 @@ pub struct NodeCrash {
     pub node: u32,
 }
 
+/// The largest degrade factor [`FaultPlan::validate`] accepts. A link
+/// slowed a millionfold is indistinguishable from [`LinkMode::Fail`] in any
+/// run that finishes, and much larger factors overflow simulated time on
+/// the first frame across the link.
+pub const MAX_DEGRADE_FACTOR: f64 = 1e6;
+
 /// What a link fault does while active.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum LinkMode {
     /// The link still works but serialises `factor` times slower
-    /// (`factor >= 1`).
+    /// (`1 <= factor <= MAX_DEGRADE_FACTOR`).
     Degrade(f64),
     /// The link drops every message whose head reaches it.
     Fail,
@@ -152,8 +158,8 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// True when the plan schedules no faults at all. Empty plans take the
-    /// unfaulted fast paths everywhere.
+    /// True when the plan schedules no faults at all. An empty plan
+    /// installs nothing: the network and runtime behave as without one.
     pub fn is_empty(&self) -> bool {
         self.node_crashes.is_empty()
             && self.node_restarts.is_empty()
@@ -285,7 +291,7 @@ impl FaultPlan {
     }
 
     /// Checks internal consistency: direction indices in range, degrade
-    /// factors ≥ 1, probabilities in `[0, 1]`, windows non-empty, no node
+    /// factors in `[1, MAX_DEGRADE_FACTOR]`, probabilities in `[0, 1]`, windows non-empty, no node
     /// crashing or restarting twice, every restart preceded by a crash of
     /// the same node, and partition cuts non-empty with distinct
     /// endpoints.
@@ -329,7 +335,8 @@ impl FaultPlan {
                 }
             }
             if let LinkMode::Degrade(factor) = f.mode {
-                if factor.is_nan() || factor < 1.0 {
+                // Also rejects NaN, for which `contains` is false.
+                if !(1.0..=MAX_DEGRADE_FACTOR).contains(&factor) {
                     return Err(FaultPlanError::BadDegradeFactor { factor });
                 }
             }
@@ -413,7 +420,8 @@ pub enum FaultPlanError {
         /// The out-of-range direction index.
         dir: u8,
     },
-    /// A degrade factor below 1 (links cannot speed up) or NaN.
+    /// A degrade factor below 1 (links cannot speed up), above
+    /// [`MAX_DEGRADE_FACTOR`], infinite or NaN.
     BadDegradeFactor {
         /// The offending factor.
         factor: f64,
@@ -468,7 +476,10 @@ impl std::fmt::Display for FaultPlanError {
                 write!(f, "link direction {dir} out of range 0..6")
             }
             FaultPlanError::BadDegradeFactor { factor } => {
-                write!(f, "degrade factor {factor} must be >= 1")
+                write!(
+                    f,
+                    "degrade factor {factor} must be in [1, {MAX_DEGRADE_FACTOR:e}]"
+                )
             }
             FaultPlanError::EmptyWindow { kind, from, until } => {
                 write!(f, "{kind} window {from:?}..{until:?} is empty")
@@ -561,6 +572,20 @@ mod tests {
 
         let speedup = FaultPlan::new().degrade_link(0, 0, SimTime::ZERO, None, 0.5);
         assert!(speedup.validate().is_err());
+
+        // Factors that would overflow simulated time on the first frame.
+        for factor in [f64::INFINITY, 1e300, f64::NAN] {
+            let slow = FaultPlan::new().degrade_link(0, 0, SimTime::ZERO, None, factor);
+            assert!(
+                matches!(
+                    slow.validate(),
+                    Err(FaultPlanError::BadDegradeFactor { .. })
+                ),
+                "factor {factor} validated"
+            );
+        }
+        let ceiling = FaultPlan::new().degrade_link(0, 0, SimTime::ZERO, None, MAX_DEGRADE_FACTOR);
+        assert!(ceiling.validate().is_ok());
 
         let bad_p = FaultPlan::new().drop_window(SimTime::ZERO, SimTime::from_micros(1), 1.5);
         assert!(bad_p.validate().is_err());

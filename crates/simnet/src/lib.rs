@@ -13,17 +13,18 @@
 //!   bounded set of *fast message-stream contexts*; messages from sources
 //!   outside the hot set pay a BEER-style slow-path penalty, which models the
 //!   paper's "flow control and reliability" throttling (§II),
-//! * [`Network`] — the façade that reserves NIC and link time for a message
-//!   and returns its delivery time,
+//! * [`Network`] — the façade that walks every [`Frame`] (message, coalesced
+//!   envelope, heartbeat probe) through one TX → links → RX pipeline,
+//!   reserving NIC and link time, and returns its delivery time,
 //! * [`DetRng`] and [`stats`] — seeded randomness and summary statistics,
 //! * [`ArrivalProcess`] — deterministic open-system arrival generators
 //!   (steady / diurnal / flash-crowd offered-load curves) for serving-mode
 //!   workloads,
 //! * [`FaultPlan`] — a deterministic schedule of node crashes and reboots,
 //!   link degradation/failure, network partitions, transient message loss
-//!   and payload corruption, interpreted by
-//!   [`Network::send_faulted`](net::Network::send_faulted); an empty plan
-//!   leaves every fast path untouched.
+//!   and payload corruption, applied by
+//!   [`Network::transmit`](net::Network::transmit) as a filter on that same
+//!   pipeline; with an empty plan the filter does nothing.
 //!
 //! The simulator is a *time-reservation* model: every component keeps a
 //! `busy_until` horizon and messages queue behind it, which is how many-to-one
@@ -60,7 +61,7 @@ pub use fault::{
     CorruptWindow, DropReason, DropWindow, FaultPlan, FaultPlanError, LinkFault, LinkMode,
     NodeCrash, NodeRestart, PartitionWindow,
 };
-pub use net::{Delivery, Network, SendOutcome};
+pub use net::{Delivery, Frame, Network, SendOutcome};
 pub use nic::Nic;
 pub use placement::Placement;
 pub use rng::DetRng;

@@ -1,12 +1,13 @@
 //! The network façade: message delivery with full contention accounting.
 //!
-//! [`Network::send`] walks a message through every serial resource it
-//! occupies — the sender's TX engine, each torus link of the
-//! dimension-order route (cut-through: latency paid per hop, serialisation
-//! paid once but reserved on every link), and the receiver's RX engine with
-//! its stream table. The returned [`Delivery`] carries the completion time;
-//! queueing, tree saturation around hot nodes and BEER slow paths all emerge
-//! from the per-resource `busy_until` horizons.
+//! Every [`Frame`] takes one route through one pipeline: the sender's TX
+//! engine, each torus link of the dimension-order route (cut-through:
+//! latency paid per hop, serialisation paid once but reserved on every
+//! link), and the receiver's RX engine with its stream table. Queueing,
+//! tree saturation around hot nodes and BEER slow paths all emerge from the
+//! per-resource `busy_until` horizons. An installed [`FaultPlan`] filters
+//! that same walk — refusing, losing, slowing or corrupting frames — and
+//! without a plan the filter does nothing.
 
 use crate::config::NetworkConfig;
 use crate::fault::{CorruptWindow, DropReason, DropWindow, FaultPlan, LinkMode, PartitionWindow};
@@ -28,8 +29,62 @@ pub struct Delivery {
     pub hops: u32,
     /// Whether a corrupt window flipped payload bits in flight. The frame
     /// still arrives — detecting the damage is the runtime's job, via
-    /// end-to-end envelope checksums. Always false on the unfaulted paths.
+    /// end-to-end envelope checksums. Always false without a fault plan.
     pub corrupt: bool,
+}
+
+/// One frame on the wire. Its kind decides how many bytes it puts on the
+/// links, what extra demultiplexing the receiver pays, and which traffic
+/// counters it bumps; the route is the same for all three.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// An ordinary message of this many payload bytes.
+    Message(u64),
+    /// A coalesced envelope of `subreqs` member requests: one wire message
+    /// sized by [`NetworkConfig::envelope_bytes`] (payload plus per-member
+    /// framing). The receiver touches its stream table and pays `rx_base`
+    /// once, plus `env_unpack` per member beyond the first — where
+    /// coalescing wins at a hot receiver, since `n` singles would pay
+    /// `rx_base` (and risk a BEER miss) `n` times. Envelopes exist only on
+    /// the forwarding path, so they are inter-node by construction.
+    Envelope {
+        /// Total payload of the member requests.
+        payload_bytes: u64,
+        /// Number of member requests.
+        subreqs: u32,
+    },
+    /// A failure-detector heartbeat probe of this many bytes: an ordinary
+    /// message, lost to faults like any other traffic (which is what makes
+    /// a silent peer ambiguous to the detector), and also counted in
+    /// [`NetCounters::probes`].
+    Probe(u64),
+}
+
+impl Frame {
+    /// Bytes the frame puts on the wire, and the receiver's demultiplexing
+    /// cost on top of its RX drain.
+    fn size(self, cfg: &NetworkConfig) -> (u64, SimTime) {
+        match self {
+            Frame::Message(bytes) | Frame::Probe(bytes) => (bytes, SimTime::ZERO),
+            Frame::Envelope {
+                payload_bytes,
+                subreqs,
+            } => (
+                cfg.envelope_bytes(payload_bytes, subreqs),
+                cfg.env_unpack * u64::from(subreqs.saturating_sub(1)),
+            ),
+        }
+    }
+}
+
+/// How far a frame got: what the traffic counters record for it.
+enum Reach {
+    /// Refused at the sender's port, before the TX engine.
+    Refused,
+    /// Delivered through host memory (intra-node).
+    Local,
+    /// Put on the wire; `hops` links crossed before delivery or loss.
+    Wire { hops: u32 },
 }
 
 /// Outcome of a send on a network that may inject faults.
@@ -48,26 +103,33 @@ pub enum SendOutcome {
 }
 
 /// Aggregate traffic counters for a run.
+///
+/// A frame *on the wire* is one that got past the sender's port: it was
+/// either delivered or lost on a link or at arrival. Frames refused at the
+/// port (dead source, partition) count only in `dropped` (and `probes`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetCounters {
-    /// Inter-node messages sent (attempted; includes dropped ones).
+    /// Inter-node frames on the wire, delivered or lost there.
     pub messages: u64,
     /// Intra-node (shared-memory) deliveries.
     pub local_messages: u64,
-    /// Total payload bytes sent inter-node.
+    /// Total wire bytes of the frames counted in `messages`.
     pub bytes: u64,
     /// Total BEER slow-path events.
     pub stream_misses: u64,
-    /// Total physical hops traversed.
+    /// Total physical hops traversed; a frame lost on a failed link counts
+    /// the hops before it.
     pub hops: u64,
-    /// Messages lost to injected faults.
+    /// Frames lost to injected faults, wherever they were lost.
     pub dropped: u64,
-    /// Coalesced envelopes sent inter-node (attempted; each is also counted
-    /// once in `messages` — an envelope is one wire message).
+    /// Coalesced envelopes on the wire, delivered or lost there (each is
+    /// also counted once in `messages` — an envelope is one wire message).
     pub envelopes: u64,
-    /// Member requests carried inside envelopes (attempted).
+    /// Member requests carried inside the envelopes counted in
+    /// `envelopes`.
     pub coalesced_requests: u64,
-    /// Failure-detector heartbeat probes sent (attempted; each is also
+    /// Failure-detector heartbeat probes handed to the network, including
+    /// those refused at the sender's port (each probe on the wire is also
     /// counted once in `messages`). Zero unless the runtime's membership
     /// layer is enabled.
     pub probes: u64,
@@ -105,6 +167,27 @@ impl FaultCtx {
     /// Whether an active partition severs `src -> dst` at `at`.
     fn partitioned(&self, at: SimTime, src: u32, dst: u32) -> bool {
         self.partitions.iter().any(|w| w.severs(at, src, dst))
+    }
+
+    /// The fate of a frame reaching `dst` at `at`: lost to a dead
+    /// destination NIC, else to one draw from the loss stream against the
+    /// first drop window covering `at`; if it survives, `Ok(corrupt)` from
+    /// one draw against the first corrupt window covering `at`.
+    fn arrive(&mut self, dst: u32, at: SimTime) -> Result<bool, DropReason> {
+        if self.dead_at(dst, at) {
+            return Err(DropReason::DestDead);
+        }
+        let covers = |from: SimTime, until: SimTime| at >= from && at < until;
+        if let Some(w) = self.drop_windows.iter().find(|w| covers(w.from, w.until)) {
+            if self.drop_rng.f64() < w.probability {
+                return Err(DropReason::Transient);
+            }
+        }
+        Ok(self
+            .corrupt_windows
+            .iter()
+            .find(|w| covers(w.from, w.until))
+            .is_some_and(|w| self.corrupt_rng.f64() < w.probability))
     }
 }
 
@@ -153,8 +236,8 @@ impl Network {
 
     /// Builds the network with an injected [`FaultPlan`]. An empty plan
     /// yields a network indistinguishable from [`Network::new`]'s — no
-    /// fault state is installed and [`Network::send_faulted`] takes the
-    /// plain [`Network::send`] path.
+    /// fault state is installed, so [`Network::transmit`]'s filter has
+    /// nothing to apply.
     ///
     /// # Panics
     /// Panics if the plan fails [`FaultPlan::validate`], names a node
@@ -225,10 +308,7 @@ impl Network {
     /// time `at`. A node whose plan reboots it is dead only between its
     /// crash and restart instants. Always false without a fault plan.
     pub fn node_dead(&self, node: u32, at: SimTime) -> bool {
-        match &self.faults {
-            Some(f) => f.dead_at(node, at),
-            None => false,
-        }
+        self.faults.as_ref().is_some_and(|f| f.dead_at(node, at))
     }
 
     /// Marks `node`'s NIC dead. Called by the runtime when it processes the
@@ -258,388 +338,156 @@ impl Network {
     }
 
     /// Sends `bytes` from logical node `src` to `dst` at time `now`,
-    /// reserving every resource on the way; returns the delivery.
+    /// reserving every resource on the way; returns the delivery. Any
+    /// installed fault plan is ignored: this is the bare pipeline.
     pub fn send(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> Delivery {
+        match self.pipeline(now, src, dst, Frame::Message(bytes), false) {
+            SendOutcome::Delivered(d) => d,
+            SendOutcome::Dropped { .. } => unreachable!("only the fault filter drops frames"),
+        }
+    }
+
+    /// Sends `frame` from `src` to `dst` at `now` through the installed
+    /// fault plan. Without a plan every frame arrives, and a message's
+    /// delivery is exactly [`Network::send`]'s. With one, the frame can be
+    /// refused at the sender's port, lost on a failed link or at arrival,
+    /// slowed by degraded links, or delivered corrupt.
+    ///
+    /// # Panics
+    /// Panics on an intra-node [`Frame::Envelope`].
+    pub fn transmit(&mut self, now: SimTime, src: u32, dst: u32, frame: Frame) -> SendOutcome {
+        self.pipeline(now, src, dst, frame, true)
+    }
+
+    /// The one place the traffic counters are updated: walks `frame` and
+    /// records how far it got.
+    fn pipeline(
+        &mut self,
+        now: SimTime,
+        src: u32,
+        dst: u32,
+        frame: Frame,
+        filtered: bool,
+    ) -> SendOutcome {
+        let (outcome, reach) = self.walk(now, src, dst, frame, filtered);
+        let c = &mut self.counters;
+        c.probes += u64::from(matches!(frame, Frame::Probe(_)));
+        match reach {
+            Reach::Refused => {}
+            Reach::Local => c.local_messages += 1,
+            Reach::Wire { hops } => {
+                c.messages += 1;
+                c.bytes += frame.size(&self.cfg).0;
+                c.hops += u64::from(hops);
+                if let Frame::Envelope { subreqs, .. } = frame {
+                    c.envelopes += 1;
+                    c.coalesced_requests += u64::from(subreqs);
+                }
+            }
+        }
+        match outcome {
+            SendOutcome::Delivered(d) => {
+                c.stream_misses += u64::from(d.stream_miss);
+                c.corrupted += u64::from(d.corrupt);
+            }
+            SendOutcome::Dropped { .. } => c.dropped += 1,
+        }
+        outcome
+    }
+
+    /// The TX → links → RX walk, with the installed fault plan as a filter
+    /// when `filtered` is set.
+    fn walk(
+        &mut self,
+        now: SimTime,
+        src: u32,
+        dst: u32,
+        frame: Frame,
+        filtered: bool,
+    ) -> (SendOutcome, Reach) {
+        let dropped = |at, reason| SendOutcome::Dropped { at, reason };
+        let faults = self.faults.as_mut().filter(|_| filtered);
+        let link_faults = self.link_faults.as_deref().filter(|_| filtered);
+        if faults.as_ref().is_some_and(|f| f.dead_at(src, now)) {
+            return (dropped(now, DropReason::SourceDead), Reach::Refused);
+        }
         if src == dst {
-            self.counters.local_messages += 1;
-            return Delivery {
+            assert!(
+                !matches!(frame, Frame::Envelope { .. }),
+                "envelopes are inter-node by construction"
+            );
+            // Intra-node copies move through host memory, not the NIC, so
+            // network faults cannot touch them.
+            let local = Delivery {
                 at: now + self.cfg.shm_latency,
                 stream_miss: false,
                 hops: 0,
                 corrupt: false,
             };
+            return (SendOutcome::Delivered(local), Reach::Local);
+        }
+        if faults
+            .as_ref()
+            .is_some_and(|f| f.partitioned(now, src, dst))
+        {
+            // The cut severs the pair at the sender's port: like a dead
+            // source, the frame never reaches the NIC.
+            return (dropped(now, DropReason::Partitioned), Reach::Refused);
         }
 
         // Transmit engine: software overhead + injection DMA.
+        let (bytes, unpack) = frame.size(&self.cfg);
         let entered =
             self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
 
         // Cut-through over the dimension-order route: the head pays hop
         // latency per link; the body's serialisation time is reserved on
-        // every link it occupies but paid end-to-end only once.
+        // every link it occupies but paid end-to-end only once, at the rate
+        // of the slowest (most degraded) link it crosses.
         let occupancy = self.cfg.link_time(bytes);
         let route = self
             .torus
             .route(self.placement.slot(src), self.placement.slot(dst));
         let mut hops = 0u32;
         let mut head = entered;
+        let mut drain = occupancy;
         for link_id in route {
-            head =
-                self.links[link_id as usize].reserve(head, occupancy, bytes) + self.cfg.hop_latency;
+            let id = link_id as usize;
+            let mut busy = occupancy;
+            if let Some(lf) = link_faults {
+                if lf[id].is_down(head) {
+                    return (dropped(head, DropReason::LinkDown), Reach::Wire { hops });
+                }
+                busy = scale_time(occupancy, lf[id].occupancy_factor(head));
+                drain = drain.max(busy);
+            }
+            head = self.links[id].reserve(head, busy, bytes) + self.cfg.hop_latency;
             hops += 1;
         }
-        let arrival = head + occupancy;
+        let arrival = head + drain;
 
-        // Receive engine: fast path or BEER slow path.
+        let corrupt = match faults.map(|f| f.arrive(dst, arrival)) {
+            Some(Err(reason)) => return (dropped(arrival, reason), Reach::Wire { hops }),
+            Some(Ok(corrupt)) => corrupt,
+            None => false,
+        };
+
+        // Receive engine: fast path or BEER slow path, plus any envelope
+        // demultiplexing.
         let (at, stream_miss) = self.nics[dst as usize].reserve_rx(
             src,
             arrival,
             self.cfg.rx_base,
-            self.cfg.rx_time(bytes),
+            self.cfg.rx_time(bytes) + unpack,
             self.cfg.stream_miss_penalty,
         );
-
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.hops += u64::from(hops);
-        self.counters.stream_misses += u64::from(stream_miss);
-        Delivery {
-            at,
-            stream_miss,
-            hops,
-            corrupt: false,
-        }
-    }
-
-    /// Sends a coalesced envelope of `subreqs` member requests totalling
-    /// `payload_bytes` from `src` to `dst`; returns the delivery of the
-    /// whole envelope.
-    ///
-    /// The envelope is one wire message: one TX reservation, one
-    /// cut-through traversal sized by [`NetworkConfig::envelope_bytes`]
-    /// (payload plus per-member framing), and one RX reservation that pays
-    /// `rx_base` once plus `env_unpack` per member beyond the first. This
-    /// path is deliberately separate from [`Network::send`] so a run with
-    /// coalescing disabled never touches it.
-    ///
-    /// # Panics
-    /// Panics on an intra-node envelope — coalescing only exists on the
-    /// forwarding path, which always crosses nodes.
-    pub fn send_envelope(
-        &mut self,
-        now: SimTime,
-        src: u32,
-        dst: u32,
-        payload_bytes: u64,
-        subreqs: u32,
-    ) -> Delivery {
-        assert_ne!(src, dst, "envelopes are inter-node by construction");
-        let bytes = self.cfg.envelope_bytes(payload_bytes, subreqs);
-        let entered =
-            self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
-        let occupancy = self.cfg.link_time(bytes);
-        let route = self
-            .torus
-            .route(self.placement.slot(src), self.placement.slot(dst));
-        let mut hops = 0u32;
-        let mut head = entered;
-        for link_id in route {
-            head =
-                self.links[link_id as usize].reserve(head, occupancy, bytes) + self.cfg.hop_latency;
-            hops += 1;
-        }
-        let arrival = head + occupancy;
-        let (at, stream_miss) = self.nics[dst as usize].reserve_rx_envelope(
-            src,
-            arrival,
-            self.cfg.rx_base,
-            self.cfg.rx_time(bytes),
-            self.cfg.stream_miss_penalty,
-            self.cfg.env_unpack * u64::from(subreqs.saturating_sub(1)),
-        );
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.hops += u64::from(hops);
-        self.counters.stream_misses += u64::from(stream_miss);
-        self.counters.envelopes += 1;
-        self.counters.coalesced_requests += u64::from(subreqs);
-        Delivery {
-            at,
-            stream_miss,
-            hops,
-            corrupt: false,
-        }
-    }
-
-    /// The installed fault context. Only called on paths guarded by an
-    /// `is_none` early return at function entry, so a missing context is a
-    /// control-flow corruption worth crashing on.
-    #[allow(clippy::expect_used)]
-    fn faults_mut(&mut self) -> &mut FaultCtx {
-        self.faults
-            .as_mut()
-            .expect("faulted send paths are guarded at entry")
-    }
-
-    /// [`Network::send_envelope`] under the installed fault plan: the
-    /// envelope is lost or delivered as a unit, by the same rules as
-    /// [`Network::send_faulted`].
-    pub fn send_envelope_faulted(
-        &mut self,
-        now: SimTime,
-        src: u32,
-        dst: u32,
-        payload_bytes: u64,
-        subreqs: u32,
-    ) -> SendOutcome {
-        if self.faults.is_none() {
-            return SendOutcome::Delivered(self.send_envelope(
-                now,
-                src,
-                dst,
-                payload_bytes,
-                subreqs,
-            ));
-        }
-        if self.node_dead(src, now) {
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: now,
-                reason: DropReason::SourceDead,
-            };
-        }
-        if self.faults_mut().partitioned(now, src, dst) {
-            // The cut severs the pair at the sender's port: like a dead
-            // source, the frame never reaches the NIC.
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: now,
-                reason: DropReason::Partitioned,
-            };
-        }
-        assert_ne!(src, dst, "envelopes are inter-node by construction");
-        let bytes = self.cfg.envelope_bytes(payload_bytes, subreqs);
-        let entered =
-            self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
-        let occupancy = self.cfg.link_time(bytes);
-        let (sa, sb) = (self.placement.slot(src), self.placement.slot(dst));
-        let hops = self.torus.hop_count(sa, sb);
-        let mut head = entered;
-        let mut drain = occupancy;
-        for (traversed, link_id) in self.torus.route(sa, sb).enumerate() {
-            let id = link_id as usize;
-            let scaled = match &self.link_faults {
-                Some(lf) if lf[id].is_down(head) => {
-                    self.counters.messages += 1;
-                    self.counters.bytes += bytes;
-                    self.counters.hops += traversed as u64;
-                    self.counters.dropped += 1;
-                    self.counters.envelopes += 1;
-                    self.counters.coalesced_requests += u64::from(subreqs);
-                    return SendOutcome::Dropped {
-                        at: head,
-                        reason: DropReason::LinkDown,
-                    };
-                }
-                Some(lf) => scale_time(occupancy, lf[id].occupancy_factor(head)),
-                None => occupancy,
-            };
-            drain = drain.max(scaled);
-            head = self.links[id].reserve(head, scaled, bytes) + self.cfg.hop_latency;
-        }
-        let arrival = head + drain;
-
-        let faults = self.faults_mut();
-        if faults.dead_at(dst, arrival) {
-            self.counters.messages += 1;
-            self.counters.bytes += bytes;
-            self.counters.hops += u64::from(hops);
-            self.counters.dropped += 1;
-            self.counters.envelopes += 1;
-            self.counters.coalesced_requests += u64::from(subreqs);
-            return SendOutcome::Dropped {
-                at: arrival,
-                reason: DropReason::DestDead,
-            };
-        }
-        for w in &faults.drop_windows {
-            if arrival >= w.from && arrival < w.until {
-                if faults.drop_rng.f64() < w.probability {
-                    self.counters.messages += 1;
-                    self.counters.bytes += bytes;
-                    self.counters.hops += u64::from(hops);
-                    self.counters.dropped += 1;
-                    self.counters.envelopes += 1;
-                    self.counters.coalesced_requests += u64::from(subreqs);
-                    return SendOutcome::Dropped {
-                        at: arrival,
-                        reason: DropReason::Transient,
-                    };
-                }
-                break;
-            }
-        }
-        let mut corrupt = false;
-        for w in &faults.corrupt_windows {
-            if arrival >= w.from && arrival < w.until {
-                corrupt = faults.corrupt_rng.f64() < w.probability;
-                break;
-            }
-        }
-
-        let (at, stream_miss) = self.nics[dst as usize].reserve_rx_envelope(
-            src,
-            arrival,
-            self.cfg.rx_base,
-            self.cfg.rx_time(bytes),
-            self.cfg.stream_miss_penalty,
-            self.cfg.env_unpack * u64::from(subreqs.saturating_sub(1)),
-        );
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.hops += u64::from(hops);
-        self.counters.stream_misses += u64::from(stream_miss);
-        self.counters.envelopes += 1;
-        self.counters.coalesced_requests += u64::from(subreqs);
-        self.counters.corrupted += u64::from(corrupt);
-        SendOutcome::Delivered(Delivery {
+        let delivery = Delivery {
             at,
             stream_miss,
             hops,
             corrupt,
-        })
-    }
-
-    /// Sends under the installed fault plan. Without a plan this is
-    /// exactly [`Network::send`]; with one, the message can be lost to a
-    /// dead endpoint, a failed link on its route, or a transient-loss
-    /// window, and traverses degraded links at their slowed rate.
-    pub fn send_faulted(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> SendOutcome {
-        if self.faults.is_none() {
-            return SendOutcome::Delivered(self.send(now, src, dst, bytes));
-        }
-        if self.node_dead(src, now) {
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: now,
-                reason: DropReason::SourceDead,
-            };
-        }
-        if src == dst {
-            // Intra-node copies move through host memory, not the NIC, so
-            // network faults cannot touch them.
-            self.counters.local_messages += 1;
-            return SendOutcome::Delivered(Delivery {
-                at: now + self.cfg.shm_latency,
-                stream_miss: false,
-                hops: 0,
-                corrupt: false,
-            });
-        }
-        if self.faults_mut().partitioned(now, src, dst) {
-            // The cut severs the pair at the sender's port: like a dead
-            // source, the frame never reaches the NIC.
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: now,
-                reason: DropReason::Partitioned,
-            };
-        }
-
-        let entered =
-            self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
-        let occupancy = self.cfg.link_time(bytes);
-        let (sa, sb) = (self.placement.slot(src), self.placement.slot(dst));
-        let hops = self.torus.hop_count(sa, sb);
-        let mut head = entered;
-        // Cut-through as in `send`, except a degraded link slows its own
-        // serialisation and the end-to-end drain is set by the slowest
-        // link the body crosses.
-        let mut drain = occupancy;
-        for (traversed, link_id) in self.torus.route(sa, sb).enumerate() {
-            let id = link_id as usize;
-            let scaled = match &self.link_faults {
-                Some(lf) if lf[id].is_down(head) => {
-                    self.counters.messages += 1;
-                    self.counters.bytes += bytes;
-                    self.counters.hops += traversed as u64;
-                    self.counters.dropped += 1;
-                    return SendOutcome::Dropped {
-                        at: head,
-                        reason: DropReason::LinkDown,
-                    };
-                }
-                Some(lf) => scale_time(occupancy, lf[id].occupancy_factor(head)),
-                None => occupancy,
-            };
-            drain = drain.max(scaled);
-            head = self.links[id].reserve(head, scaled, bytes) + self.cfg.hop_latency;
-        }
-        let arrival = head + drain;
-
-        let faults = self.faults_mut();
-        if faults.dead_at(dst, arrival) {
-            self.counters.messages += 1;
-            self.counters.bytes += bytes;
-            self.counters.hops += u64::from(hops);
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: arrival,
-                reason: DropReason::DestDead,
-            };
-        }
-        for w in &faults.drop_windows {
-            if arrival >= w.from && arrival < w.until {
-                if faults.drop_rng.f64() < w.probability {
-                    self.counters.messages += 1;
-                    self.counters.bytes += bytes;
-                    self.counters.hops += u64::from(hops);
-                    self.counters.dropped += 1;
-                    return SendOutcome::Dropped {
-                        at: arrival,
-                        reason: DropReason::Transient,
-                    };
-                }
-                break;
-            }
-        }
-        let mut corrupt = false;
-        for w in &faults.corrupt_windows {
-            if arrival >= w.from && arrival < w.until {
-                corrupt = faults.corrupt_rng.f64() < w.probability;
-                break;
-            }
-        }
-
-        let (at, stream_miss) = self.nics[dst as usize].reserve_rx(
-            src,
-            arrival,
-            self.cfg.rx_base,
-            self.cfg.rx_time(bytes),
-            self.cfg.stream_miss_penalty,
-        );
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.hops += u64::from(hops);
-        self.counters.stream_misses += u64::from(stream_miss);
-        self.counters.corrupted += u64::from(corrupt);
-        SendOutcome::Delivered(Delivery {
-            at,
-            stream_miss,
-            hops,
-            corrupt,
-        })
-    }
-
-    /// Sends a failure-detector heartbeat probe under the installed fault
-    /// plan: exactly [`Network::send_faulted`], plus the probe traffic
-    /// counter. Probes are ordinary wire messages — they can be lost to
-    /// dead endpoints, downed links and transient-loss windows like any
-    /// other traffic, which is what makes a silent peer genuinely
-    /// ambiguous to the detector.
-    pub fn send_probe(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> SendOutcome {
-        self.counters.probes += 1;
-        self.send_faulted(now, src, dst, bytes)
+        };
+        (SendOutcome::Delivered(delivery), Reach::Wire { hops })
     }
 
     /// Aggregate traffic counters.
@@ -817,7 +665,13 @@ mod tests {
         // Same total payload into the same receiver: one 4-member envelope
         // vs four singles from the same forwarder.
         let mut env_net = quiet_net(8);
-        let env = env_net.send_envelope(SimTime::ZERO, 3, 0, 4 * 160, 4);
+        let envelope = Frame::Envelope {
+            payload_bytes: 4 * 160,
+            subreqs: 4,
+        };
+        let SendOutcome::Delivered(env) = env_net.transmit(SimTime::ZERO, 3, 0, envelope) else {
+            panic!("no plan, no loss");
+        };
         let mut single_net = quiet_net(8);
         let mut last = SimTime::ZERO;
         for _ in 0..4 {
@@ -855,11 +709,14 @@ mod tests {
             }
         }
 
-        fn fire(self, net: &mut Network, now: SimTime, src: u32, dst: u32) -> SendOutcome {
+        fn frame(self) -> Frame {
             match self {
-                Kind::Message => net.send_faulted(now, src, dst, 256),
-                Kind::Envelope => net.send_envelope_faulted(now, src, dst, 640, 4),
-                Kind::Probe => net.send_probe(now, src, dst, 64),
+                Kind::Message => Frame::Message(256),
+                Kind::Envelope => Frame::Envelope {
+                    payload_bytes: 640,
+                    subreqs: 4,
+                },
+                Kind::Probe => Frame::Probe(64),
             }
         }
     }
@@ -971,7 +828,7 @@ mod tests {
                 if plan.as_ref().is_some_and(FaultPlan::is_empty) {
                     assert!(!net.faults_enabled(), "an empty plan installs nothing");
                 }
-                let out = kind.fire(&mut net, now, src, to);
+                let out = net.transmit(now, src, to, kind.frame());
 
                 let (bytes, unpack) = kind.wire(&cfg);
                 let entered = now + cfg.tx_overhead + cfg.inj_time(bytes);
@@ -1039,7 +896,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "inter-node")]
     fn intra_node_envelope_panics() {
-        quiet_net(4).send_envelope_faulted(SimTime::ZERO, 2, 2, 640, 4);
+        quiet_net(4).transmit(SimTime::ZERO, 2, 2, Kind::Envelope.frame());
     }
 
     #[test]
@@ -1131,9 +988,9 @@ mod tests {
         let plan = FaultPlan::new().crash_node(SimTime::from_micros(10), 4);
         let mut net = Network::with_faults(NetworkConfig::default(), 8, &plan);
         // Before the crash the node still sends.
-        let before = net.send_faulted(SimTime::ZERO, 4, 0, 64);
+        let before = net.transmit(SimTime::ZERO, 4, 0, Frame::Message(64));
         assert!(matches!(before, SendOutcome::Delivered(_)));
-        let after = net.send_faulted(SimTime::from_micros(10), 4, 0, 64);
+        let after = net.transmit(SimTime::from_micros(10), 4, 0, Frame::Message(64));
         assert_eq!(
             after,
             SendOutcome::Dropped {
@@ -1150,7 +1007,7 @@ mod tests {
         // message is already in flight and vanishes at the dead NIC.
         let plan = FaultPlan::new().crash_node(SimTime::from_nanos(2_000), 0);
         let mut net = Network::with_faults(NetworkConfig::default(), 8, &plan);
-        match net.send_faulted(SimTime::ZERO, 7, 0, 4_096) {
+        match net.transmit(SimTime::ZERO, 7, 0, Frame::Message(4_096)) {
             SendOutcome::Dropped { at, reason } => {
                 assert_eq!(reason, DropReason::DestDead);
                 assert!(at >= SimTime::from_nanos(2_000));
@@ -1172,7 +1029,7 @@ mod tests {
         let first = route[0];
         let plan = FaultPlan::new().fail_link(first / 6, (first % 6) as u8, SimTime::ZERO, None);
         let mut net = Network::with_faults(cfg, 8, &plan);
-        match net.send_faulted(SimTime::ZERO, 3, 0, 64) {
+        match net.transmit(SimTime::ZERO, 3, 0, Frame::Message(64)) {
             SendOutcome::Dropped { reason, .. } => assert_eq!(reason, DropReason::LinkDown),
             other => panic!("expected a link-down drop, got {other:?}"),
         }
@@ -1184,7 +1041,7 @@ mod tests {
             Some(SimTime::from_nanos(1)),
         );
         let mut net2 = Network::with_faults(cfg, 8, &plan2);
-        let late = net2.send_faulted(SimTime::from_micros(100), 3, 0, 64);
+        let late = net2.transmit(SimTime::from_micros(100), 3, 0, Frame::Message(64));
         assert!(matches!(late, SendOutcome::Delivered(_)));
     }
 
@@ -1200,7 +1057,7 @@ mod tests {
             FaultPlan::new().degrade_link(first / 6, (first % 6) as u8, SimTime::ZERO, None, 8.0);
         let mut slow = Network::with_faults(cfg, 8, &plan);
         let mut fast = Network::new(cfg, 8);
-        let slow_at = match slow.send_faulted(SimTime::ZERO, 3, 0, 60_000) {
+        let slow_at = match slow.transmit(SimTime::ZERO, 3, 0, Frame::Message(60_000)) {
             SendOutcome::Delivered(d) => d.at,
             other => panic!("degraded link should still deliver, got {other:?}"),
         };
@@ -1221,7 +1078,7 @@ mod tests {
             let mut outcomes = Vec::new();
             for i in 0..200u32 {
                 let src = 1 + (i % 31);
-                let out = net.send_faulted(t, src, 0, 256);
+                let out = net.transmit(t, src, 0, Frame::Message(256));
                 if let SendOutcome::Delivered(d) = out {
                     t = d.at;
                 }
@@ -1261,12 +1118,12 @@ mod tests {
         assert!(net.node_dead(0, SimTime::from_nanos(9_999)));
         assert!(!net.node_dead(0, SimTime::from_micros(10)), "reboot heals");
         // In flight across the crash instant: lost at the dead NIC.
-        match net.send_faulted(SimTime::ZERO, 7, 0, 4_096) {
+        match net.transmit(SimTime::ZERO, 7, 0, Frame::Message(4_096)) {
             SendOutcome::Dropped { reason, .. } => assert_eq!(reason, DropReason::DestDead),
             other => panic!("expected a dest-dead drop, got {other:?}"),
         }
         // A dead node cannot send mid-outage...
-        let mid = net.send_faulted(SimTime::from_micros(5), 0, 7, 64);
+        let mid = net.transmit(SimTime::from_micros(5), 0, 7, Frame::Message(64));
         assert!(matches!(
             mid,
             SendOutcome::Dropped {
@@ -1276,11 +1133,11 @@ mod tests {
         ));
         // ...but both directions work again after the reboot.
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(10), 0, 7, 64),
+            net.transmit(SimTime::from_micros(10), 0, 7, Frame::Message(64)),
             SendOutcome::Delivered(_)
         ));
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(12), 7, 0, 64),
+            net.transmit(SimTime::from_micros(12), 7, 0, Frame::Message(64)),
             SendOutcome::Delivered(_)
         ));
     }
@@ -1294,11 +1151,11 @@ mod tests {
         );
         let mut net = Network::with_faults(NetworkConfig::default(), 8, &plan);
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(5), 3, 0, 64),
+            net.transmit(SimTime::from_micros(5), 3, 0, Frame::Message(64)),
             SendOutcome::Delivered(_)
         ));
         assert_eq!(
-            net.send_faulted(SimTime::from_micros(15), 3, 0, 64),
+            net.transmit(SimTime::from_micros(15), 3, 0, Frame::Message(64)),
             SendOutcome::Dropped {
                 at: SimTime::from_micros(15),
                 reason: DropReason::Partitioned
@@ -1306,12 +1163,12 @@ mod tests {
         );
         // The cut is directed: the reverse pair still flows.
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(15), 0, 3, 64),
+            net.transmit(SimTime::from_micros(15), 0, 3, Frame::Message(64)),
             SendOutcome::Delivered(_)
         ));
         // After the heal instant the pair flows again.
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(20), 3, 0, 64),
+            net.transmit(SimTime::from_micros(20), 3, 0, Frame::Message(64)),
             SendOutcome::Delivered(_)
         ));
         assert_eq!(net.counters().dropped, 1);
@@ -1330,7 +1187,7 @@ mod tests {
             let mut flips = Vec::new();
             for i in 0..200u32 {
                 let src = 1 + (i % 31);
-                match net.send_faulted(t, src, 0, 256) {
+                match net.transmit(t, src, 0, Frame::Message(256)) {
                     SendOutcome::Delivered(d) => {
                         t = d.at;
                         flips.push(d.corrupt);
@@ -1365,7 +1222,7 @@ mod tests {
             let mut lost = Vec::new();
             for i in 0..200u32 {
                 let src = 1 + (i % 31);
-                match net.send_faulted(t, src, 0, 256) {
+                match net.transmit(t, src, 0, Frame::Message(256)) {
                     SendOutcome::Delivered(d) => {
                         t = d.at;
                         lost.push(false);

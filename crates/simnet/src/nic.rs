@@ -212,8 +212,10 @@ impl Nic {
     /// stream table missed.
     ///
     /// `base` is the per-message fast-path cost, `drain` the DMA
-    /// serialisation for the payload and `miss_penalty` the BEER slow path
-    /// charged when `src` is not resident.
+    /// serialisation for the payload (plus, for a coalesced envelope, the
+    /// demultiplexing of its extra members) and `miss_penalty` the BEER
+    /// slow path charged when `src` is not resident. An envelope is one
+    /// message to the NIC: one stream-table touch, one `base` charge.
     pub fn reserve_rx(
         &mut self,
         src: u32,
@@ -224,38 +226,6 @@ impl Nic {
     ) -> (SimTime, bool) {
         let hit = self.streams.touch(src);
         let mut cost = base + drain;
-        if !hit {
-            cost += miss_penalty;
-            self.stream_misses += 1;
-        }
-        let start = arrival.max(self.rx_busy);
-        let done = start + cost;
-        self.rx_busy = done;
-        self.rx_messages += 1;
-        (done, !hit)
-    }
-
-    /// Reserves the receive engine for a coalesced envelope from node
-    /// `src`; returns the delivery completion time and whether the stream
-    /// table missed.
-    ///
-    /// One envelope is one message to the NIC: a single stream-table touch,
-    /// one `base` fast-path charge, one `drain` for the combined payload,
-    /// plus `unpack_total` demultiplexing (the per-member unpack cost summed
-    /// over every member beyond the first). This is where coalescing wins at
-    /// a hot receiver — `n` singles would pay `base` (and risk a BEER miss)
-    /// `n` times.
-    pub fn reserve_rx_envelope(
-        &mut self,
-        src: u32,
-        arrival: SimTime,
-        base: SimTime,
-        drain: SimTime,
-        miss_penalty: SimTime,
-        unpack_total: SimTime,
-    ) -> (SimTime, bool) {
-        let hit = self.streams.touch(src);
-        let mut cost = base + drain + unpack_total;
         if !hit {
             cost += miss_penalty;
             self.stream_misses += 1;
@@ -425,23 +395,6 @@ mod tests {
         assert_eq!(done, SimTime::from_nanos(120));
         assert_eq!(nic.stream_misses(), 1);
         assert_eq!(nic.rx_messages(), 2);
-    }
-
-    #[test]
-    fn rx_envelope_charges_base_once_and_unpack_per_extra_member() {
-        let mut nic = Nic::new(8);
-        nic.reserve_rx_envelope(
-            3,
-            SimTime::ZERO,
-            SimTime::from_nanos(100),
-            SimTime::from_nanos(50),
-            SimTime::ZERO,
-            // 4 members: 3 × unpack 10
-            SimTime::from_nanos(30),
-        );
-        // base 100 + drain 50 + 3 × unpack 10
-        assert_eq!(nic.rx_busy_until(), SimTime::from_nanos(180));
-        assert_eq!(nic.rx_messages(), 1);
     }
 
     #[test]

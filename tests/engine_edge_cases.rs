@@ -1,9 +1,7 @@
 //! Edge-case behaviour of the runtime engine: degenerate sizes, self-ops,
 //! zero-byte transfers, repeated synchronisation, and mixed-op stress.
 
-use vt_armci::{
-    trace, Action, Op, OpKind, Rank, RuntimeConfig, ScriptProgram, SimTime, Simulation,
-};
+use vt_armci::{Action, Op, OpKind, Rank, RuntimeConfig, ScriptProgram, SimTime, Simulation};
 use vt_core::TopologyKind;
 
 fn run_scripts(cfg: RuntimeConfig, mk: impl Fn(Rank) -> Vec<Action>) -> vt_armci::Report {
@@ -119,13 +117,8 @@ fn mixed_op_stress_with_every_kind() {
             "missing {kind:?} in trace"
         );
     }
-    // The trace exports cleanly.
-    let mut buf = Vec::new();
-    trace::write_op_trace(&report, &mut buf).unwrap();
-    assert_eq!(
-        String::from_utf8(buf).unwrap().trim().lines().count(),
-        1 + 24 * 8
-    );
+    // The trace holds one record per completed operation.
+    assert_eq!(report.metrics.ops.len(), 24 * 8);
 }
 
 #[test]
