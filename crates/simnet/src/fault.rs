@@ -291,10 +291,10 @@ impl FaultPlan {
     }
 
     /// Checks internal consistency: direction indices in range, degrade
-    /// factors in `[1, MAX_DEGRADE_FACTOR]`, probabilities in `[0, 1]`, windows non-empty, no node
-    /// crashing or restarting twice, every restart preceded by a crash of
-    /// the same node, and partition cuts non-empty with distinct
-    /// endpoints.
+    /// factors in `[1, MAX_DEGRADE_FACTOR]`, probabilities in `[0, 1]`,
+    /// windows non-empty, no node crashing or restarting twice, every
+    /// restart preceded by a crash of the same node, and partition cuts
+    /// non-empty with distinct endpoints.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         let mut crashed = Vec::new();
         for c in &self.node_crashes {
