@@ -11,9 +11,14 @@
 //!
 //! Routes are not re-derived from the paper: every hop is obtained from
 //! [`vt_armci::forward_decision`], the *same* function the CHT engine
-//! calls at its forwarding sites, so an acyclicity certificate here is a
-//! statement about the code that actually runs, not about a parallel
-//! re-implementation of LDF.
+//! calls at its issue, head-of-line and fold sites whenever its recovery
+//! machinery is live (fault and serving runs), so an acyclicity
+//! certificate here is a statement about the code that actually runs, not
+//! about a parallel re-implementation of LDF. Fault-free runs without
+//! serving forward on the topology's own table in class 0 instead: the
+//! same hops, but no class escalation, so that router's acyclicity is the
+//! plain class-0 LDF argument (pinned by `tests/topology_invariants.rs`),
+//! not this graph.
 
 use crate::CycleWitness;
 use std::collections::HashMap;
@@ -74,8 +79,11 @@ impl DepGraph {
 
 /// Builds the dependency graph of `topo` with the nodes in `dead` already
 /// crashed, by walking every live ordered pair with the engine's own
-/// forwarding decision. Fault-free traffic (`dead = []`) is entirely class
-/// 0; route-around contributes the higher classes.
+/// forwarding decision. With `dead = []` the hops are plain extended LDF,
+/// but the classes are not all 0: on a partial shape extended LDF's
+/// partial-slice skips fix a lower dimension after a higher one on some
+/// routes, and the decision escalates the class there. Dead nodes add
+/// route-around descents on top.
 pub fn build(topo: &Grid, dead: &[u32]) -> DepGraph {
     let n = topo.num_nodes();
     let mut channels = Vec::new();

@@ -99,8 +99,11 @@ pub enum HopDecision {
 /// route (same class ⇒ the dimension rose; descent ⇒ the class rose), so
 /// the buffer-dependency graph over *(channel, class)* pairs is acyclic for
 /// **any** dead set; and a route takes at most `ndims` hops, so fewer than
-/// `ndims` classes ever exist. A fault-free run never descends and stays
-/// entirely in class 0 — plain LDF. The argument is additionally *checked*,
+/// `ndims` classes ever exist. With an empty dead set the hops are plain
+/// extended LDF, but a partial shape still descends on some routes (the
+/// partial-slice skips of extended LDF fix a lower dimension after a
+/// higher one), so those hops escalate too: MFCG over 3 nodes routes
+/// 2 → 1 as `[(0, 0), (1, 1)]`. The argument is additionally *checked*,
 /// not assumed, by [`crate::graph::classed_dependency_digraph`] cycle tests
 /// over sampled and randomised dead sets.
 ///
@@ -232,7 +235,9 @@ pub fn forward_class(shape: &Shape, prev: u32, current: u32, next: u32, base_cla
 /// [`route_avoiding`] with each hop's **escape buffer class**: hops start in
 /// class 0 and every descent (a hop crossing a lower dimension than the hop
 /// before it) increments the class. See [`next_hop_avoiding`] for why the
-/// classes exist; with an empty `dead` set every hop is class 0.
+/// classes exist. With an empty `dead` set the hops are those of [`route`],
+/// but on a partial shape a partial-slice skip can still descend and
+/// escalate the class (see [`next_hop_avoiding`]).
 pub fn route_avoiding_classed(
     shape: &Shape,
     n: u32,

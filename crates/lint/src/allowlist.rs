@@ -19,7 +19,7 @@ use std::fmt;
 pub struct AllowEntry {
     /// Rule id the exception applies to (`D1`..`D4`, `P1`).
     pub rule: String,
-    /// Repo-relative path of the file (`crates/armci/src/engine.rs`).
+    /// Repo-relative path of the file (`crates/armci/src/engine/mod.rs`).
     pub path: String,
     /// Substring of the offending source line; a finding in `path` for
     /// `rule` whose line contains `pattern` is suppressed.

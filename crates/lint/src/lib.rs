@@ -71,7 +71,7 @@ impl std::fmt::Display for LintError {
 /// * Protocol paths (D1/D4): `crates/armci/src` and `crates/simnet/src`,
 ///   minus the reporting modules `metrics.rs` / `stats.rs` (percentile
 ///   rendering legitimately uses floats and ordered output formatting).
-/// * Sim crates (D2): `core`, `simnet`, `armci`, `analyze`, `apps`, `ga`.
+/// * Sim crates (D2): `core`, `simnet`, `armci`, `analyze`, `apps`.
 ///   `vt-bench` measures wall-clock time *by design* and the root CLI
 ///   parses `env::args`; both stay outside D2 (D3/P1 still apply there).
 pub fn classify(rel_path: &str) -> FileScope {
@@ -84,10 +84,7 @@ pub fn classify(rel_path: &str) -> FileScope {
     let reporting = matches!(stem, "metrics.rs" | "stats.rs");
     FileScope {
         protocol_path: matches!(crate_name, "armci" | "simnet") && !reporting,
-        sim_crate: matches!(
-            crate_name,
-            "core" | "simnet" | "armci" | "analyze" | "apps" | "ga"
-        ),
+        sim_crate: matches!(crate_name, "core" | "simnet" | "armci" | "analyze" | "apps"),
     }
 }
 

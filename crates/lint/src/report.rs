@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 pub struct Finding {
     /// The rule that fired.
     pub rule: Rule,
-    /// Repo-relative path (`crates/armci/src/engine.rs`).
+    /// Repo-relative path (`crates/armci/src/engine/mod.rs`).
     pub path: String,
     /// 1-based source line.
     pub line: u32,

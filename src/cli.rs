@@ -5,6 +5,7 @@
 //! defaults matching the paper's setups.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 use vt_apps::chaos::{ChaosConfig, ChaosOutcome};
 use vt_apps::contention::{ContentionConfig, OpSpec, Scenario};
 use vt_apps::faults::FaultScenarioConfig;
@@ -51,6 +52,18 @@ impl Flags {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("invalid value for --{key}: '{v}'")),
+        }
+    }
+
+    /// Takes a count (nodes, processes, processes per node): a positive
+    /// integer, so a zero never reaches the layers that divide by it.
+    pub fn take_count(&mut self, key: &str, default: u32) -> Result<u32, String> {
+        match self.map.remove(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse::<NonZeroU32>()
+                .map(NonZeroU32::get)
+                .map_err(|_| format!("invalid value for --{key}: '{v}' (a positive integer)")),
         }
     }
 
@@ -242,8 +255,8 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 return analyze_matrix(&format, threads);
             }
             let topology = flags.take_topology(TopologyKind::Mfcg)?;
-            let nodes: u32 = flags.take("nodes", 64)?;
-            let ppn: u32 = flags.take("ppn", 4)?;
+            let nodes = flags.take_count("nodes", 64)?;
+            let ppn = flags.take_count("ppn", 4)?;
             let credits: u32 = flags.take("credits", 4)?;
             let buffer_bytes: u64 = flags.take("buffer-bytes", 16 * 1024)?;
             let coalesce = match flags.take("coalesce", "off".to_string())?.as_str() {
@@ -418,8 +431,8 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             let topology = flags.take_topology(TopologyKind::Fcg)?;
             let op = parse_op(&flags.take("op", "fadd".to_string())?)?;
             let scenario = parse_scenario(&flags.take("scenario", "none".to_string())?)?;
-            let n_procs: u32 = flags.take("procs", 1024)?;
-            let ppn: u32 = flags.take("ppn", 4)?;
+            let n_procs = flags.take_count("procs", 1024)?;
+            let ppn = flags.take_count("ppn", 4)?;
             let measure_stride: u32 = flags.take("stride", 16)?;
             let iterations: u32 = flags.take("iterations", 20)?;
             let coalesce = match flags.take("coalesce", "off".to_string())?.as_str() {
@@ -428,6 +441,12 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 other => return Err(format!("invalid value for --coalesce: '{other}' (on|off)")),
             };
             flags.finish()?;
+            if n_procs <= ppn {
+                // The experiment measures ranks off rank 0's node.
+                return Err(format!(
+                    "--procs {n_procs} must exceed --ppn {ppn}: every rank would share rank 0's node"
+                ));
+            }
             let cfg = ContentionConfig {
                 n_procs,
                 ppn,
@@ -460,7 +479,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
         }
         "lu" => {
             let topology = flags.take_topology(TopologyKind::Fcg)?;
-            let n_procs: u32 = flags.take("procs", 192)?;
+            let n_procs = flags.take_count("procs", 192)?;
             let iterations: u32 = flags.take("iterations", 250)?;
             flags.finish()?;
             let cfg = LuConfig {
@@ -515,7 +534,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
         }
         "gups" => {
             let topology = flags.take_topology(TopologyKind::Fcg)?;
-            let n_procs: u32 = flags.take("procs", 256)?;
+            let n_procs = flags.take_count("procs", 256)?;
             let skew: f64 = flags.take("skew", 0.0)?;
             flags.finish()?;
             let o = vt_apps::gups::run(&GupsConfig::skewed(n_procs, topology, skew));
@@ -530,8 +549,8 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
         }
         "faults" => {
             let topology = flags.take_topology(TopologyKind::Mfcg)?;
-            let n_procs: u32 = flags.take("procs", 256)?;
-            let ppn: u32 = flags.take("ppn", 4)?;
+            let n_procs = flags.take_count("procs", 256)?;
+            let ppn = flags.take_count("ppn", 4)?;
             let ops_per_rank: u32 = flags.take("ops", 8)?;
             let kill_at_us: u64 = flags.take("kill-at-us", 300)?;
             let membership = match flags.take("membership", "off".to_string())?.as_str() {
@@ -731,9 +750,11 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             let factors = curve_spec
                 .split(',')
                 .filter(|v| !v.is_empty())
-                .map(|v| {
-                    v.parse::<f64>()
-                        .map_err(|_| format!("invalid factor '{v}' in --curve"))
+                .map(|v| match v.parse::<f64>() {
+                    Ok(f) if f > 0.0 && f.is_finite() => Ok(f),
+                    _ => Err(format!(
+                        "invalid factor '{v}' in --curve (a positive load multiplier)"
+                    )),
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
             let o = vt_apps::serve::run(&cfg);
@@ -1660,6 +1681,29 @@ mod tests {
                 .unwrap_err()
                 .contains("does not support")
         );
+    }
+
+    #[test]
+    fn degenerate_counts_and_curve_points_are_errors_not_panics() {
+        let cases: [(&str, &[&str], &str); 9] = [
+            ("contention", &["--procs", "0"], "--procs"),
+            ("contention", &["--ppn", "0"], "--ppn"),
+            ("contention", &["--procs", "64", "--ppn", "128"], "--procs"),
+            ("gups", &["--procs", "0"], "--procs"),
+            ("lu", &["--procs", "0"], "--procs"),
+            ("faults", &["--ppn", "0"], "--ppn"),
+            ("analyze", &["--nodes", "0"], "--nodes"),
+            ("serve", &["--preset", "steady", "--curve", "0"], "--curve"),
+            ("serve", &["--preset", "steady", "--curve", "-1"], "--curve"),
+        ];
+        for (cmd, args, flag) in cases {
+            let outcome = std::panic::catch_unwind(|| run_command(cmd, &s(args)));
+            let Ok(result) = outcome else {
+                panic!("vtsim {cmd} {args:?} panicked");
+            };
+            let err = result.unwrap_err();
+            assert!(err.contains(flag), "vtsim {cmd} {args:?}: {err}");
+        }
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub use vt_analyze as analyze;
 pub use vt_apps as apps;
 pub use vt_armci as armci;
 pub use vt_core as core;
-pub use vt_ga as ga;
 pub use vt_lint as lint;
 pub use vt_simnet as simnet;
 
@@ -50,6 +49,5 @@ pub mod prelude {
     pub use vt_core::{
         Cfcg, Fcg, Hypercube, MemoryModel, Mfcg, RequestTree, Shape, TopologyKind, VirtualTopology,
     };
-    pub use vt_ga::{GaCall, GaScript, GlobalArray, Patch};
     pub use vt_simnet::{NetworkConfig, SimTime};
 }
