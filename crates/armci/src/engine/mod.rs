@@ -910,9 +910,7 @@ impl Engine {
             } else {
                 Waiter::Proc(rank)
             };
-            if !self.launch(now, t0, req, waiter)
-                || self.procs[rank.idx()].phase == Phase::WaitingCredit
-            {
+            if !self.launch(now, t0, req, waiter) || self.procs[rank.idx()].pending == Some(req) {
                 return;
             }
             // On the wire, held for a route, or a serve request parked on

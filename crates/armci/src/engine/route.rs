@@ -1,5 +1,7 @@
-//! The hop decision: at issue, at the head of a CHT queue, and when folding
-//! an envelope. **Two routers.** Without the recovery machinery (no fault plan, no
+//! The hop decision: at issue, at the head of a CHT queue, and when
+//! folding an envelope.
+//!
+//! **Two routers.** Without the recovery machinery (no fault plan, no
 //! serving) a run forwards on the topology's table in escape class 0. With
 //! it, [`forward_decision`] routes around the dead set, over the survivor
 //! packing once a repair landed. With nothing dead both pick the same
