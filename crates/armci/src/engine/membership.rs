@@ -4,6 +4,7 @@
 //! (membership, or serving's load re-pack).
 
 use super::*;
+use std::collections::BTreeMap;
 use vt_core::{FxHashSet, SurvivorPacking, TopologyKind};
 
 /// Wire size of a failure-detector heartbeat probe (and its ack).
@@ -79,7 +80,7 @@ impl Detector {
 /// The membership view: the current epoch and the survivor packing.
 pub(super) struct EpochView {
     /// Current membership epoch; requests are stamped with it at issue.
-    epoch: u64,
+    epoch: u32,
     /// The committed survivor packing; `None` until the first repair.
     pub(super) packing: Option<SurvivorPacking>,
     /// An `EpochCommit` is scheduled (a drain window is running).
@@ -133,7 +134,7 @@ impl Engine {
     }
 
     /// The current membership epoch (always 0 without an epoch view).
-    pub(super) fn epoch(&self) -> u64 {
+    pub(super) fn epoch(&self) -> u32 {
         self.view.as_ref().map_or(0, |v| v.epoch)
     }
 
@@ -246,26 +247,36 @@ impl Engine {
             }
         }
         // Scan the slab for the node's unfinished work *before* restoring
-        // phases (the filter keys on `Lost`). The slab is append-ordered,
-        // so keeping the last live entry per (origin, seq) picks each
-        // operation's newest attempt and minimises redundant chains.
-        let mut rearm: FxHashMap<(u32, u64), ReqId> = FxHashMap::default();
+        // phases (the filter keys on `Lost`). Slots are recycled, so age is
+        // the allocation stamp, not the index: each open operation re-arms
+        // its newest attempt, which minimises redundant chains.
+        let mut rearm: BTreeMap<(u32, u64), ReqId> = BTreeMap::new();
         let mut lost_completions: Vec<ReqId> = Vec::new();
+        let mut revived: Vec<ReqId> = Vec::new();
         for (id, r) in self.requests.iter().enumerate() {
+            let id = id as ReqId;
             if !r.live || r.serve || r.origin_node != node {
                 continue;
             }
             if self.procs[r.origin.idx()].phase != Phase::Lost {
                 continue;
             }
-            if self.resolved(r) {
-                // Completed during the outage (an intra-node response that
-                // landed while its rank was down): finalise at revival.
-                lost_completions.push(id as ReqId);
-            } else if r.target_node != r.origin_node {
+            revived.push(id);
+            match self.op_state(r) {
+                // The first response landed on this slot during the outage
+                // (e.g. an intra-node one): finalise the operation at
+                // revival. Operations completed before the crash are not
+                // finalised again through their superseded attempts.
+                OpState::Landed(landed) if landed == id => lost_completions.push(id),
                 // Intra-node operations have no timers — their shared-
                 // memory responses are still queued and complete normally.
-                rearm.insert((r.origin.0, r.seq), id as ReqId);
+                OpState::Open if r.target_node != r.origin_node => {
+                    let newest = rearm.entry((r.origin.0, r.seq)).or_insert(id);
+                    if r.stamp > self.requests[*newest as usize].stamp {
+                        *newest = id;
+                    }
+                }
+                _ => {}
             }
         }
         for r in 0..self.cfg.n_procs {
@@ -313,14 +324,21 @@ impl Engine {
         }
         // Finalise operations that completed while the rank was down, now
         // that its phase is restored (the crash-time response handler
-        // early-returned before touching the rank's accounting).
+        // early-returned before touching the rank's accounting), in
+        // allocation order.
+        lost_completions.sort_unstable_by_key(|&id| self.requests[id as usize].stamp);
         for req in lost_completions {
             self.complete(now, req);
         }
-        // Fresh response timers for the surviving in-flight work: the old
-        // timers died with the node (their firings found a Lost origin).
+        // The revived origins no longer hold their finished slots.
+        for req in revived {
+            self.release(req);
+        }
+        // Fresh response timers for the surviving in-flight work, in
+        // allocation order: the old timers died with the node (their
+        // firings found a Lost origin).
         let mut rearm_ids: Vec<ReqId> = rearm.into_values().collect();
-        rearm_ids.sort_unstable();
+        rearm_ids.sort_unstable_by_key(|&id| self.requests[id as usize].stamp);
         for req in rearm_ids {
             self.arm_timeout(now, req);
         }
@@ -565,7 +583,7 @@ impl Engine {
         };
         v.epoch = new_epoch;
         self.repair.epoch_bumps += 1;
-        self.repair.final_epoch = new_epoch;
+        self.repair.final_epoch = u64::from(new_epoch);
         self.repair.rejoins_committed += self
             .detector
             .as_mut()
@@ -787,6 +805,90 @@ mod tests {
         assert_eq!(report.repair.fallback_depth, 0);
         assert_eq!(report.credit_leaks, 0);
         assert!(report.lost_ranks.is_empty());
+    }
+
+    /// A remote blocking fetch-add slot of `origin` (on node 1) to rank 0.
+    fn slot(origin: u32, seq: u64, attempt: u32) -> Request {
+        Request {
+            op: Op::fetch_add(Rank(0), 1),
+            origin: Rank(origin),
+            origin_node: 1,
+            target_node: 0,
+            issued: SimTime::ZERO,
+            prev_sender: Sender::Proc(Rank(origin)),
+            prev_node: 1,
+            blocking: true,
+            resp_value: None,
+            credit_held: false,
+            live: true,
+            refs: 0,
+            stamp: 0,
+            seq,
+            attempt,
+            vc_class: 0,
+            fwd_next: 1,
+            fwd_class: 0,
+            env_slot: NO_ENV,
+            epoch: 0,
+            serve: false,
+            backoff_prev: SimTime::ZERO,
+        }
+    }
+
+    #[test]
+    fn reboot_follows_allocation_order_over_recycled_slots() {
+        // Two nodes at 4 ppn; node 1 (ranks 4..8) crashes and reboots.
+        let cfg = small_cfg(8, TopologyKind::Fcg);
+        let plan = FaultPlan::new()
+            .crash_node(SimTime::from_micros(10), 1)
+            .restart_node(SimTime::from_micros(20), 1);
+        let programs = (0..8)
+            .map(|_| Box::new(ScriptProgram::new(vec![])) as Box<dyn Program>)
+            .collect();
+        let mut e = Engine::with_faults(cfg, programs, &plan);
+        // Allocation order: a short op F, op X's first attempt, op Y's
+        // second attempt, op Z's two attempts, op L.
+        let f = e.alloc_request(slot(4, 0, 0));
+        let x_old = e.alloc_request(slot(5, 1, 0));
+        let y = e.alloc_request(slot(6, 2, 1));
+        let z_old = e.alloc_request(slot(7, 3, 0));
+        let z_new = e.alloc_request(slot(7, 3, 1));
+        let l = e.alloc_request(slot(4, 4, 0));
+        e.procs[4].outstanding = 1;
+        // Z and then F complete: F's slot is recycled for X's
+        // retransmission, so the newer attempt sits below the older one.
+        for done in [z_new, f] {
+            let r = e.requests[done as usize];
+            e.settle(&r);
+            e.journey_ended(done);
+        }
+        let x_new = e.alloc_request(slot(5, 1, 1));
+        assert_eq!(x_new, f, "the retransmission reuses the freed slot");
+        assert!(x_new < x_old && x_new < y);
+
+        e.node_crash(SimTime::from_micros(10), 1);
+        // L's response lands while its rank is down.
+        e.response_arrive(SimTime::from_micros(15), l);
+        assert!(e.requests[l as usize].live, "a Lost origin keeps its slots");
+        e.node_restart(SimTime::from_micros(20), 1);
+
+        let mut armed = Vec::new();
+        while let Some((_, ev)) = e.queue.pop() {
+            if let Event::Timeout { req } = ev {
+                armed.push(req);
+            }
+        }
+        // Each open operation re-arms its newest attempt, and the timers
+        // (same attempt, same deadline) fire in allocation order.
+        assert_eq!(armed, vec![y, x_new]);
+        assert_eq!(e.requests[x_old as usize].refs, 1, "only its copy");
+        // L completes once at the reboot and frees its slot; Z completed
+        // before the crash and its superseded attempt does not complete it
+        // again.
+        assert_eq!(e.procs[4].completed_ops, 1);
+        assert!(!e.requests[l as usize].live);
+        assert_eq!(e.procs[7].completed_ops, 0);
+        assert!(e.requests[z_old as usize].live, "its copy may still land");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::metrics::{CoalesceStats, FaultStats, Metrics, RepairStats, ServeStats
 use crate::ops::{Op, OpKind};
 use crate::workload::{Action, ProcCtx, Program};
 use membership::{Detector, EpochView, Outages};
-use recovery::Recovery;
+use recovery::{OpState, Recovery};
 use serve::ServeState;
 use vt_core::{FxHashMap, Grid};
 use vt_simnet::{EventQueue, FaultPlan, Frame, Network, SendOutcome, SimTime};
@@ -120,6 +120,13 @@ struct Request {
     credit_held: bool,
     /// Slab liveness flag.
     live: bool,
+    /// References that may still name the slot: its copy until the copy's
+    /// journey ends, plus each armed response timer not yet fired (see
+    /// `recovery.rs`).
+    refs: u16,
+    /// Allocation order of the slot. Slots are recycled, so the slab index
+    /// says nothing about age; anything ordered by age orders by this.
+    stamp: u64,
     /// Logical-operation sequence number: shared by every retransmission of
     /// the same operation, unique per (origin, operation). The target-side
     /// dedup table is keyed on `(origin, seq)`.
@@ -143,7 +150,7 @@ struct Request {
     /// from an earlier epoch than the receiver's are rejected
     /// deterministically after a repair — their routing was chosen against
     /// a packing that no longer exists. Always 0 without a membership view.
-    epoch: u64,
+    epoch: u32,
     /// An open-system client request (serving runs only): its origin rank
     /// is `Done` from the start, its retries draw on the client's budget,
     /// and exhaustion abandons the operation instead of failing the rank.
@@ -450,6 +457,8 @@ pub struct Engine {
     credits: CreditManager,
     requests: Vec<Request>,
     free_reqs: Vec<ReqId>,
+    /// Allocation stamp of the next request slot.
+    next_stamp: u64,
     /// Coalesced-envelope slab (coalescing runs only).
     envelopes: Vec<EnvState>,
     free_envs: Vec<u32>,
@@ -486,7 +495,10 @@ pub struct Engine {
     view: Option<EpochView>,
     /// The failure detector (membership runs only).
     detector: Option<Detector>,
-    /// Timers, dedup and completion tables (fault or serving runs only).
+    /// Per-operation records, one per operation that still has a request
+    /// slot (fault or serving runs only). While it is live, timers,
+    /// retransmission and dedup run and slots are freed by the rule in
+    /// `recovery.rs`.
     recovery: Option<Recovery>,
     /// Open-system serving state (serving runs only).
     serve: Option<ServeState>,
@@ -564,6 +576,7 @@ impl Engine {
             chts,
             requests: Vec::new(),
             free_reqs: Vec::new(),
+            next_stamp: 0,
             envelopes: Vec::new(),
             free_envs: Vec::new(),
             coalesce: CoalesceStats::default(),
@@ -624,12 +637,7 @@ impl Engine {
     /// Returns [`SimError::Deadlock`] if the system quiesces with blocked
     /// work.
     pub fn run(mut self) -> Result<Report, SimError> {
-        for r in 0..self.cfg.n_procs {
-            self.queue
-                .schedule(SimTime::ZERO, Event::ProcReady(Rank(r)));
-        }
-        self.schedule_outages();
-        self.start_serving();
+        self.start();
         while let Some((now, ev)) = self.queue.pop() {
             self.dispatch(now, ev);
         }
@@ -708,6 +716,16 @@ impl Engine {
             fetch_finals,
             credit_leaks,
         })
+    }
+
+    /// Schedules every rank's first step, the fault plan and the arrivals.
+    fn start(&mut self) {
+        for r in 0..self.cfg.n_procs {
+            self.queue
+                .schedule(SimTime::ZERO, Event::ProcReady(Rank(r)));
+        }
+        self.schedule_outages();
+        self.start_serving();
     }
 
     fn deadlock_report(&self) -> SimError {
@@ -850,10 +868,6 @@ impl Engine {
         }
     }
 
-    fn alloc_request(&mut self, req: Request) -> ReqId {
-        slab_insert(&mut self.requests, &mut self.free_reqs, req)
-    }
-
     /// Issues `op` from `rank`, or for client `rank` when `serve`.
     fn issue_op(&mut self, now: SimTime, rank: Rank, op: Op, blocking: bool, serve: bool) {
         assert!(
@@ -877,7 +891,10 @@ impl Engine {
             blocking,
             resp_value: None,
             credit_held: false,
+            // Slot bookkeeping; `alloc_request` sets it.
             live: true,
+            refs: 0,
+            stamp: 0,
             seq,
             attempt: 0,
             vc_class: 0,
@@ -1570,7 +1587,9 @@ impl Engine {
                         Phase::Lost | Phase::Failed
                     )
                 {
-                    // The operation resolved while the retry waited.
+                    // The operation resolved while the retry waited: the
+                    // copy is dropped unsent.
+                    self.journey_ended(req);
                     self.ack_arrive(now, key);
                     return;
                 }
@@ -1584,15 +1603,24 @@ impl Engine {
         let r = self.requests[req as usize];
         // The response proves the target's CHT was alive to serve it.
         self.heard_from(r.target_node, now);
-        if self.first_response(&r) {
+        if self.first_response(req) {
             self.complete(now, req);
         }
+        self.journey_ended(req);
     }
 
     /// Completes `req` at its origin and wakes a blocked or fencing rank.
     fn complete(&mut self, now: SimTime, req: ReqId) {
         let r = self.requests[req as usize];
         debug_assert!(r.live);
+        let before = self.settle(&r);
+        debug_assert_ne!(
+            before,
+            OpState::Done,
+            "{} op #{} completed twice",
+            r.origin,
+            r.seq
+        );
         let rank = r.origin;
         let proc = &mut self.procs[rank.idx()];
         proc.outstanding -= 1;
@@ -1603,7 +1631,6 @@ impl Engine {
         let fencing_done = proc.phase == Phase::Fencing && proc.outstanding == 0;
         self.metrics.complete_op(rank, r.op.kind, r.issued, now);
         self.serve_completed(now, &r);
-        self.free_request(req);
         if r.blocking || fencing_done {
             self.queue.schedule(now, Event::ProcReady(rank));
         }
@@ -1626,6 +1653,17 @@ mod tests {
     pub(super) fn run_all(cfg: RuntimeConfig, mk: impl Fn(Rank) -> Box<dyn Program>) -> Report {
         let programs = (0..cfg.n_procs).map(|r| mk(Rank(r))).collect();
         Engine::new(cfg, programs).run().expect("no deadlock")
+    }
+
+    #[test]
+    fn request_slot_fits_128_bytes() {
+        // The slab holds one `Request` per in-flight attempt; keep a slot
+        // within two cache lines.
+        assert!(
+            std::mem::size_of::<Request>() <= 128,
+            "{}",
+            std::mem::size_of::<Request>()
+        );
     }
 
     #[test]

@@ -1,22 +1,73 @@
-//! Recovery: response timers, retransmission, credit reclaim, the dedup and
-//! completion tables that keep retries exactly-once, and slab ids that are
-//! never reused. Live under a fault plan, and under serving, whose
-//! responses outlive their timeouts past saturation.
+//! Recovery: response timers, retransmission, credit reclaim, and the
+//! per-operation records that keep retries exactly-once. Live under a fault
+//! plan, and under serving, whose responses outlive their timeouts past
+//! saturation.
+//!
+//! **Slot lifetime.** A retried operation has several request slots (one per
+//! attempt), and a slot may still be named by its copy in flight and by its
+//! pending timers after the operation completed. Each slot counts those
+//! references (`Request::refs`) and is freed — its id recycled — only once
+//! nothing can name it again:
+//!
+//! * its copy's journey ended: its response was handled, or it was dropped
+//!   unsent as a resolved parked retry;
+//! * no `Timeout` for it is pending (arms and firings are counted);
+//! * its operation is resolved and its origin is not `Lost` (a reboot still
+//!   reads a Lost origin's slots to finalise and re-arm its operations).
+//!
+//! Without recovery a slot has no timers and its response completes its
+//! operation, so the rule frees it on completion. Copies the engine never
+//! sees end (dropped, corrupted, stale or unreachable discards, dead nodes,
+//! duplicates swallowed while the first copy is pending) keep their slots,
+//! which is safe. Envelope slots are never reused under recovery. Slots are
+//! recycled, so nothing may order by slab index: age is `Request::stamp`.
+//!
+//! The operation's record lives exactly as long as its slots: it is created
+//! with the first and removed with the last, when no copy or timer can ask
+//! about the operation again. `seq` is global, not per origin, so records
+//! tie to slots rather than to a per-origin sequence window, which would
+//! drop a late duplicate below its floor instead of re-answering it.
 
 use super::*;
-use vt_core::FxHashSet;
 use vt_simnet::DetRng;
 
-/// Live recovery state: which operations finished, and which arrived.
+/// Live recovery state: one record per operation that still has a slot.
 #[derive(Default)]
 pub(super) struct Recovery {
-    /// Origin-side completion set: `(rank, seq)` of every operation whose
-    /// first response arrived (or that a serve client gave up on). Later
-    /// (duplicate) responses and stale timeouts check here.
-    op_done: FxHashSet<(u32, u64)>,
-    /// Target-side dedup table for exactly-once execution of retried
-    /// non-idempotent operations.
-    seen: FxHashMap<(u32, u64), DedupState>,
+    /// Per-operation records keyed by `(origin, seq)`.
+    ops: FxHashMap<(u32, u64), OpRecord>,
+}
+
+impl Recovery {
+    /// Operations that still have a slot.
+    #[cfg(test)]
+    pub(super) fn ops(&self) -> usize {
+        self.ops.len()
+    }
+}
+
+/// What the engine still knows about one operation.
+#[derive(Clone, Copy, Debug)]
+struct OpRecord {
+    /// Origin-side resolution.
+    state: OpState,
+    /// Target-side dedup state; `None` until a copy arrived.
+    dedup: Option<DedupState>,
+    /// Slab slots of the operation still allocated.
+    slots: u32,
+}
+
+/// Origin-side resolution of an operation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum OpState {
+    /// No response landed yet and nobody gave up on it.
+    Open,
+    /// The first response landed on this slot while the origin was Lost:
+    /// the node's reboot completes the operation with it.
+    Landed(ReqId),
+    /// Completed, given up on, or answered to a failed origin. Later
+    /// (duplicate) responses and stale timeouts find it here.
+    Done,
 }
 
 /// Target-side record of an operation that already arrived at least once.
@@ -31,59 +82,123 @@ enum DedupState {
 }
 
 impl Engine {
-    pub(super) fn free_request(&mut self, id: ReqId) {
-        debug_assert!(self.requests[id as usize].live);
+    /// Stores `req` in a fresh slot, stamped with its allocation order, and
+    /// counts the slot on its operation's record.
+    pub(super) fn alloc_request(&mut self, req: Request) -> ReqId {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        if let Some(rec) = &mut self.recovery {
+            rec.ops
+                .entry((req.origin.0, req.seq))
+                .or_insert(OpRecord {
+                    state: OpState::Open,
+                    dedup: None,
+                    slots: 0,
+                })
+                .slots += 1;
+        }
+        let req = Request {
+            live: true,
+            refs: 1,
+            stamp,
+            ..req
+        };
+        slab_insert(&mut self.requests, &mut self.free_reqs, req)
+    }
+
+    /// The copy on slot `req` will never be seen again: its response was
+    /// handled, or it was dropped unsent.
+    pub(super) fn journey_ended(&mut self, req: ReqId) {
+        self.requests[req as usize].refs -= 1;
+        self.release(req);
+    }
+
+    /// Frees slot `id` once nothing can name it again (see the module doc);
+    /// otherwise a later journey end, timer firing or reboot retries.
+    pub(super) fn release(&mut self, id: ReqId) {
+        let r = self.requests[id as usize];
+        debug_assert!(r.live, "release of freed slot {id}");
+        if r.refs > 0 || !self.resolved(&r) || self.procs[r.origin.idx()].phase == Phase::Lost {
+            return;
+        }
         self.requests[id as usize].live = false;
-        // Under the recovery machinery, slab ids are never reused:
-        // duplicate copies and stale timeouts may still reference an id
-        // after its operation completed, and a recycled slot would let
-        // them corrupt a newer request's state.
-        if self.recovery.is_none() {
-            self.free_reqs.push(id);
+        self.free_reqs.push(id);
+        if let Some(rec) = &mut self.recovery {
+            let key = (r.origin.0, r.seq);
+            if let Some(op) = rec.ops.get_mut(&key) {
+                op.slots -= 1;
+                if op.slots == 0 {
+                    rec.ops.remove(&key);
+                }
+            }
         }
     }
 
     pub(super) fn free_env(&mut self, id: u32) {
-        // Like request slots, envelope slots are never reused under
-        // recovery: in-flight drops may leave stale references behind.
+        // Envelope slots are never reused under recovery: in-flight drops
+        // may leave stale references behind.
         if self.recovery.is_none() {
             self.free_envs.push(id);
         }
     }
 
-    /// Whether `r`'s operation already completed (or was given up on).
-    pub(super) fn resolved(&self, r: &Request) -> bool {
+    /// The record of `r`'s operation (`None` without recovery).
+    fn op_mut(&mut self, r: &Request) -> Option<&mut OpRecord> {
+        let op = self.recovery.as_mut()?.ops.get_mut(&(r.origin.0, r.seq));
+        debug_assert!(
+            op.is_some(),
+            "{} op #{} outlived its record",
+            r.origin,
+            r.seq
+        );
+        op
+    }
+
+    /// Origin-side resolution of `r`'s operation. Without recovery an
+    /// operation has one copy, whose response completes it: `Done`.
+    pub(super) fn op_state(&self, r: &Request) -> OpState {
         self.recovery
             .as_ref()
-            .is_some_and(|rec| rec.op_done.contains(&(r.origin.0, r.seq)))
+            .and_then(|rec| rec.ops.get(&(r.origin.0, r.seq)))
+            .map_or(OpState::Done, |op| op.state)
     }
 
-    /// Marks `r`'s operation resolved; false if a copy already had.
-    pub(super) fn resolve(&mut self, r: &Request) -> bool {
-        self.recovery
-            .as_mut()
-            .is_none_or(|rec| rec.op_done.insert((r.origin.0, r.seq)))
+    /// Whether `r`'s operation already has its response (or was given up on).
+    pub(super) fn resolved(&self, r: &Request) -> bool {
+        self.op_state(r) != OpState::Open
     }
 
-    /// Whether the response `r` completes its operation: the first one
-    /// does, unless its origin died or failed before it landed.
-    pub(super) fn first_response(&mut self, r: &Request) -> bool {
-        let gone = matches!(
-            self.procs[r.origin.idx()].phase,
-            Phase::Lost | Phase::Failed
-        );
-        self.recovery.is_none() || (self.resolve(r) && !gone)
+    /// Marks `r`'s operation done and returns its state before (`Open`
+    /// without recovery).
+    pub(super) fn settle(&mut self, r: &Request) -> OpState {
+        self.op_mut(r).map_or(OpState::Open, |op| {
+            std::mem::replace(&mut op.state, OpState::Done)
+        })
+    }
+
+    /// Whether the response on slot `req` completes its operation: the
+    /// first one does, unless its origin died or failed before it landed.
+    /// A Lost origin's reboot completes it then.
+    pub(super) fn first_response(&mut self, req: ReqId) -> bool {
+        let r = self.requests[req as usize];
+        let phase = self.procs[r.origin.idx()].phase;
+        let Some(op) = self.op_mut(&r).filter(|op| op.state == OpState::Open) else {
+            return self.recovery.is_none();
+        };
+        match phase {
+            Phase::Lost => op.state = OpState::Landed(req),
+            Phase::Failed => op.state = OpState::Done,
+            _ => return true,
+        }
+        false
     }
 
     /// Whether direct op `r` fires its notify (once across retransmissions).
     pub(super) fn first_notify(&mut self, r: &Request) -> bool {
-        let Some(rec) = &mut self.recovery else {
-            return true;
+        let Some(op) = self.op_mut(r) else {
+            return self.recovery.is_none();
         };
-        let fresh = rec
-            .seen
-            .insert((r.origin.0, r.seq), DedupState::Pending)
-            .is_none();
+        let fresh = op.dedup.replace(DedupState::Pending).is_none();
         self.faults.dedup_hits += u64::from(!fresh);
         fresh
     }
@@ -93,14 +208,13 @@ impl Engine {
     /// `req` — re-answered with the recorded value, or swallowed while the
     /// first copy is pending — which the caller must not apply.
     pub(super) fn duplicate(&mut self, now: SimTime, req: ReqId) -> bool {
-        let Some(rec) = &mut self.recovery else {
+        let r = self.requests[req as usize];
+        let Some(op) = self.op_mut(&r) else {
             return false;
         };
-        let r = &self.requests[req as usize];
-        let key = (r.origin.0, r.seq);
-        match rec.seen.get(&key).copied() {
+        match op.dedup {
             None => {
-                rec.seen.insert(key, DedupState::Pending);
+                op.dedup = Some(DedupState::Pending);
                 return false;
             }
             Some(DedupState::Done(value)) => {
@@ -117,9 +231,8 @@ impl Engine {
 
     /// Records `r`'s result so duplicates are re-answered, not re-applied.
     pub(super) fn record_answer(&mut self, r: &Request) {
-        if let Some(rec) = &mut self.recovery {
-            rec.seen
-                .insert((r.origin.0, r.seq), DedupState::Done(r.resp_value));
+        if let Some(op) = self.op_mut(r) {
+            op.dedup = Some(DedupState::Done(r.resp_value));
         }
     }
 
@@ -146,12 +259,21 @@ impl Engine {
             self.requests[req as usize].backoff_prev = d;
             d
         };
+        self.requests[req as usize].refs += 1;
         self.queue.schedule(now + delay, Event::Timeout { req });
     }
 
-    /// A per-request response timer expired: retransmit with backoff, or
-    /// fail the operation once the retry budget is spent.
+    /// A per-request response timer expired: act on it, then free the slot
+    /// if this was the last thing that could name it.
     pub(super) fn timeout_fire(&mut self, now: SimTime, req: ReqId) {
+        self.requests[req as usize].refs -= 1;
+        self.expire(now, req);
+        self.release(req);
+    }
+
+    /// Retransmits `req` with backoff, or fails the operation once the retry
+    /// budget is spent.
+    fn expire(&mut self, now: SimTime, req: ReqId) {
         let r = self.requests[req as usize];
         if self.resolved(&r) {
             return; // Stale: the operation completed in time.
@@ -201,7 +323,6 @@ impl Engine {
             prev_node: old.origin_node,
             resp_value: None,
             credit_held: false,
-            live: true,
             attempt: old.attempt + 1,
             vc_class: 0,
             fwd_next: old.origin_node,

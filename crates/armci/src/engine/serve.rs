@@ -282,10 +282,11 @@ impl Engine {
     /// operation is marked resolved (squelching late responses and parked
     /// retries), and the accounting that keeps the open system drainable is
     /// closed out. Never fails the client rank — giving up on one request
-    /// is normal overload behaviour, not a crash.
+    /// is normal overload behaviour, not a crash. The slot stays until its
+    /// copy's journey ends.
     pub(super) fn serve_give_up(&mut self, req: ReqId) {
         let r = self.requests[req as usize];
-        if !self.resolve(&r) {
+        if self.settle(&r) != OpState::Open {
             return; // Already resolved by a racing path.
         }
         self.faults.failed_ops += 1;
@@ -294,7 +295,6 @@ impl Engine {
             s.stats.gave_up += 1;
             s.active -= 1;
         }
-        self.free_request(req);
     }
 }
 
@@ -427,6 +427,46 @@ mod tests {
         assert!(loose.serve.retries > 0, "{:?}", loose.serve);
         // Per-client budgets bound total serve retransmissions.
         assert!(loose.serve.retries <= 16 * 8);
+    }
+
+    #[test]
+    fn serve_state_is_bounded_by_in_flight_work() {
+        // Request slots and per-operation records are recycled once nothing
+        // can name them: a steady open system peaks at the same slab size
+        // and record count whatever its horizon, instead of keeping one
+        // entry per request ever issued.
+        let peaks = |horizon_ms: u64| {
+            let mut cfg = serve_cfg(8, TopologyKind::Fcg, 100_000.0);
+            cfg.serve.horizon = SimTime::from_millis(horizon_ms);
+            // A tight timeout makes requests retry, so operations hold
+            // several slots and late responses outlive completions.
+            cfg.retry.timeout = SimTime::from_micros(20);
+            let mut engine = Engine::new(cfg, idle_programs(&cfg));
+            engine.start();
+            let mut ops_peak = 0;
+            while let Some((now, ev)) = engine.queue.pop() {
+                engine.dispatch(now, ev);
+                let ops = engine.recovery.as_ref().map_or(0, Recovery::ops);
+                ops_peak = ops_peak.max(ops);
+            }
+            let stats = engine.serve.as_ref().unwrap().stats;
+            (engine.requests.len(), ops_peak, stats)
+        };
+        let (slab_short, ops_short, short) = peaks(2);
+        let (slab_long, ops_long, long) = peaks(8);
+        assert!(long.retries > 0, "{long:?}");
+        assert!(
+            long.completed >= 3 * short.completed,
+            "{short:?} vs {long:?}"
+        );
+        assert!(
+            2 * slab_long <= 3 * slab_short,
+            "slab peak {slab_short} -> {slab_long}"
+        );
+        assert!(
+            2 * ops_long <= 3 * ops_short,
+            "record peak {ops_short} -> {ops_long}"
+        );
     }
 
     // ----- transient faults: reboots, partitions, corruption --------------

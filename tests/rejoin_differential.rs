@@ -127,6 +127,62 @@ fn crash_rejoin_composes_with_coalescing() {
     assert_rejoin_matches_unfaulted(&MFCG_BOUNDARY, true);
 }
 
+/// The shrunk chaos reproducer of campaign seed 7, cell 22 (MFCG, 32 ranks
+/// at 4 per node, 12 fetch-adds per rank split around a 30 ms compute):
+/// a corruption window from 123 µs to 1.986 ms forces retransmissions,
+/// then node 5 crashes at 8.040 ms and reboots at 15.708 ms. Its ranks
+/// still held superseded attempts of operations that had completed before
+/// the crash; the reboot must not complete those operations again
+/// (completing ranks 20, 22 and 23 twice gives 375 completions against a
+/// counter of 372).
+#[test]
+fn reboot_completes_no_operation_twice() {
+    let ops_per_rank = 12usize;
+    let mut cfg = RuntimeConfig::new(32, TopologyKind::Mfcg);
+    cfg.seed = 7 ^ (22 << 32);
+    cfg.membership = MembershipConfig::on();
+    let plan = FaultPlan::new()
+        .crash_node(SimTime::from_micros(8_040), 5)
+        .restart_node(SimTime::from_micros(15_708), 5)
+        .corrupt_window(
+            SimTime::from_micros(123),
+            SimTime::from_micros(1_986),
+            0.158_408_312_218_090_4,
+        );
+    let report = Simulation::build_with_faults(
+        cfg,
+        move |rank| {
+            let mut script = Vec::new();
+            if rank != Rank(0) {
+                script.push(Action::Compute(SimTime::from_micros(
+                    2 + u64::from(rank.0 % 7),
+                )));
+                for _ in 0..ops_per_rank / 2 {
+                    script.push(Action::Op(Op::fetch_add(Rank(0), 1)));
+                }
+                script.push(Action::Compute(SimTime::from_millis(30)));
+                for _ in 0..ops_per_rank - ops_per_rank / 2 {
+                    script.push(Action::Op(Op::fetch_add(Rank(0), 1)));
+                }
+            }
+            ScriptProgram::new(script)
+        },
+        &plan,
+    )
+    .with_repair_certifier(vt_analyze::certify_repair)
+    .run()
+    .expect("the reproducer completes");
+
+    assert!(report.faults.retries > 0, "the corruption forces retries");
+    assert!(report.lost_ranks.is_empty(), "{:?}", report.lost_ranks);
+    for (rank, stats) in report.metrics.per_rank.iter().enumerate().skip(1) {
+        assert_eq!(stats.ops, ops_per_rank as u64, "rank {rank}");
+    }
+    assert_eq!(report.metrics.total_ops(), 31 * ops_per_rank as u64);
+    assert_eq!(report.fetch_finals[0], report.metrics.total_ops() as i64);
+    assert_eq!(report.credit_leaks, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
