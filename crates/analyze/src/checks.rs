@@ -4,7 +4,7 @@
 //! the report layer aggregates them and the whole configuration is
 //! *certified* only when every check passes.
 
-use crate::depgraph::DepGraph;
+use crate::depgraph::{DepGraph, Walk};
 use crate::{AnalyzeConfig, CheckResult};
 use vt_armci::forward_decision;
 use vt_core::{Grid, MemoryModel, TopologyKind, VirtualTopology};
@@ -57,69 +57,22 @@ pub fn check_acyclic(dg: &DepGraph) -> (CheckResult, Option<crate::CycleWitness>
 /// populated topology edge, and every escape class must stay below the
 /// modelled class count. Pairs involving a dead endpoint are allowed (and
 /// expected) to dead-end — the runtime diagnoses those as `Unreachable`.
-pub fn check_totality(topo: &Grid, dead: &[u32], dg: &DepGraph) -> CheckResult {
-    let n = topo.num_nodes();
-    let shape = topo.shape();
-    let max_hops = shape.ndims() as u32;
-    let classes = dg.classes;
-    let mut pairs = 0u64;
-    let mut failures: Vec<String> = Vec::new();
-    for src in 0..n {
-        if dead.contains(&src) {
-            continue;
-        }
-        for dst in 0..n {
-            if src == dst || dead.contains(&dst) {
-                continue;
-            }
-            pairs += 1;
-            let mut prev = src;
-            let mut cur = src;
-            let mut class = 0u8;
-            let mut hops = 0u32;
-            while cur != dst {
-                match forward_decision(shape, n, prev, cur, dst, class, dead) {
-                    None => {
-                        failures.push(format!("{src}->{dst} dead-ends at {cur}"));
-                        break;
-                    }
-                    Some((hop, c)) => {
-                        if !topo.has_edge(cur, hop) {
-                            failures.push(format!("{src}->{dst} hops off-topology {cur}->{hop}"));
-                            break;
-                        }
-                        if c >= classes {
-                            failures.push(format!(
-                                "{src}->{dst} escalates to class {c} (modelled {classes})"
-                            ));
-                            break;
-                        }
-                        hops += 1;
-                        if hops > max_hops {
-                            failures.push(format!("{src}->{dst} exceeds {max_hops} hops"));
-                            break;
-                        }
-                        prev = cur;
-                        cur = hop;
-                        class = c;
-                    }
-                }
-            }
-            if failures.len() > 4 {
-                break;
-            }
-        }
-        if failures.len() > 4 {
-            break;
-        }
-    }
-    if !dg.bad_edges.is_empty() {
-        failures.push(format!("routes used non-edges: {:?}", dg.bad_edges));
+/// The routes were followed by [`walk`](crate::depgraph::walk); this
+/// formats what it found under the final dead set, plus any non-edge hop
+/// of any prefix.
+pub fn check_totality(topo: &Grid, walk: &Walk) -> CheckResult {
+    let max_hops = topo.shape().ndims();
+    let mut failures = walk.failures.clone();
+    if !walk.dg.bad_edges.is_empty() {
+        failures.push(format!("routes used non-edges: {:?}", walk.dg.bad_edges));
     }
     if failures.is_empty() {
         pass(
             "totality",
-            format!("{pairs} live pairs all route on populated edges within {max_hops} hops"),
+            format!(
+                "{} live pairs all route on populated edges within {max_hops} hops",
+                walk.live_pairs
+            ),
         )
     } else {
         fail("totality", failures.join("; "))
@@ -148,44 +101,26 @@ pub fn depth_bound(kind: TopologyKind, n: u32) -> u32 {
 
 /// Fault-free forwarding depth: the observed maximum over all pairs must
 /// stay within [`depth_bound`], partial packings included (the walk runs
-/// over the *populated* node set, not the shape capacity).
-pub fn check_depth(topo: &Grid) -> CheckResult {
+/// over the *populated* node set, not the shape capacity). The depths are
+/// those of [`walk`](crate::depgraph::walk)'s dead-free prefix.
+pub fn check_depth(topo: &Grid, walk: &Walk) -> CheckResult {
     let n = topo.num_nodes();
-    let shape = topo.shape();
     let bound = depth_bound(topo.kind(), n);
-    let mut max_depth = 0u32;
-    let mut witness = (0u32, 0u32);
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let route = vt_core::ldf::route(shape, n, src, dst);
-            let depth = route.len().saturating_sub(1) as u32;
-            if depth > max_depth {
-                max_depth = depth;
-                witness = (src, dst);
-            }
-        }
-    }
+    let max_depth = walk.max_depth;
+    let (src, dst) = walk.depth_pair;
     let name = "depth-bound";
     if max_depth <= bound {
         pass(
             name,
             format!(
-                "max forwarding depth {max_depth} (pair {}->{}) within bound {bound} for {} over {n} nodes",
-                witness.0,
-                witness.1,
+                "max forwarding depth {max_depth} (pair {src}->{dst}) within bound {bound} for {} over {n} nodes",
                 topo.kind()
             ),
         )
     } else {
         fail(
             name,
-            format!(
-                "pair {}->{} needs {max_depth} forwarding steps, bound is {bound}",
-                witness.0, witness.1
-            ),
+            format!("pair {src}->{dst} needs {max_depth} forwarding steps, bound is {bound}"),
         )
     }
 }
@@ -259,7 +194,6 @@ pub fn check_budget(topo: &Grid, cfg: &AnalyzeConfig) -> CheckResult {
 pub fn check_coalescing(topo: &Grid, dead: &[u32], dg: &DepGraph) -> CheckResult {
     let n = topo.num_nodes();
     let shape = topo.shape();
-    let nch = dg.channels.len() as u32;
     let mut checked = 0u64;
     for &(ch, class, dest) in &dg.arrivals {
         let (from, at) = dg.channels[ch as usize];
@@ -276,15 +210,17 @@ pub fn check_coalescing(topo: &Grid, dead: &[u32], dg: &DepGraph) -> CheckResult
                 format!("member at {at} (from {from}, class {class}, dest {dest}) cannot refold"),
             );
         };
-        let Some(out_ch) = dg.channels.iter().position(|&e| e == (at, hop)) else {
+        let Some(out_ch) = dg.channel(at, hop) else {
             return fail(
                 "coalescing-refold",
                 format!("refold at {at} departs on non-channel {at}->{hop}"),
             );
         };
-        let v_in = u32::from(class) * nch + ch;
-        let v_out = u32::from(next_class) * nch + out_ch as u32;
-        if !dg.graph.successors(v_in).contains(&v_out) {
+        if !dg
+            .graph
+            .successors(dg.vertex(ch, class))
+            .contains(&dg.vertex(out_ch, next_class))
+        {
             return fail(
                 "coalescing-refold",
                 format!(
@@ -320,9 +256,9 @@ mod tests {
     fn partial_packing_passes_depth_and_totality() {
         // 23 nodes in a 5x5 mesh: top row partially populated.
         let topo = TopologyKind::Mfcg.build(23);
-        let dg = depgraph::build(&topo, &[]);
-        assert!(check_depth(&topo).passed);
-        assert!(check_totality(&topo, &[], &dg).passed);
+        let walk = depgraph::walk(&topo, &[], false);
+        assert!(check_depth(&topo, &walk).passed);
+        assert!(check_totality(&topo, &walk).passed);
     }
 
     #[test]

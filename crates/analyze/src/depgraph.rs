@@ -19,12 +19,19 @@
 //! same hops, but no class escalation, so that router's acyclicity is the
 //! plain class-0 LDF argument (pinned by `tests/topology_invariants.rs`),
 //! not this graph.
+//!
+//! **One walk per crash prefix.** [`walk`] follows every live ordered
+//! pair's route once per crash prefix and takes from that single pass
+//! everything the route-level checks need: the wait-for arcs, the
+//! totality failures under the final dead set, the fault-free forwarding
+//! depth, and — only when coalescing is checked — the refold arrivals.
+//! Channels are looked up in a dense per-node index (each node's
+//! out-channels are one sorted run of [`DepGraph::channels`]), not hashed.
 
 use crate::CycleWitness;
-use std::collections::HashMap;
 use vt_armci::forward_decision;
 use vt_core::graph::DiGraph;
-use vt_core::{Grid, VirtualTopology};
+use vt_core::{Grid, Shape, VirtualTopology};
 
 /// The number of escape buffer classes a `shape`-dimensional topology can
 /// ever use: route-around escalates the class once per dimension descent,
@@ -37,23 +44,60 @@ pub fn escape_classes(topo: &Grid) -> u8 {
 /// The `(channel, class)` dependency graph of one routing configuration.
 #[derive(Debug)]
 pub struct DepGraph {
-    /// Populated directed topology edges, in a fixed enumeration order.
+    /// Populated directed topology edges: node by node, each node's
+    /// out-edges by ascending target.
     pub channels: Vec<(u32, u32)>,
+    /// Node `v`'s out-channels are ids `first[v] .. first[v + 1]`.
+    first: Vec<u32>,
     /// Escape classes modelled (`vertex = class * channels + channel`).
     pub classes: u8,
     /// The wait-for relation between `(channel, class)` buffers.
     pub graph: DiGraph,
     /// Hops some route took over a pair of nodes that is **not** a
-    /// populated topology edge — always a verification failure, reported
-    /// by the totality check rather than panicking here.
+    /// populated topology edge (sorted, deduplicated) — always a
+    /// verification failure, reported by the totality check rather than
+    /// panicking here.
     pub bad_edges: Vec<(u32, u32)>,
-    /// `(in-channel, class, dest)` triples observed on routes, keyed for
-    /// the coalescing refold check: a request that arrived at a node via
-    /// `in-channel` in `class`, still destined for `dest`.
+    /// `(in-channel, class, dest)` triples observed on routes (sorted,
+    /// deduplicated), keyed for the coalescing refold check: a request
+    /// that arrived at a node via `in-channel` in `class`, still destined
+    /// for `dest`. Recorded only when [`walk`] is asked for refolds.
     pub arrivals: Vec<(u32, u8, u32)>,
 }
 
 impl DepGraph {
+    /// The arc-free graph over `topo`'s channels in `classes` classes.
+    fn empty(topo: &Grid, classes: u8) -> Self {
+        let n = topo.num_nodes();
+        let mut channels = Vec::new();
+        let mut first = Vec::with_capacity(n as usize + 1);
+        for from in 0..n {
+            first.push(channels.len() as u32);
+            channels.extend(topo.out_neighbors(from).into_iter().map(|to| (from, to)));
+        }
+        first.push(channels.len() as u32);
+        let classes = classes.max(1);
+        DepGraph {
+            graph: DiGraph::new(channels.len() * usize::from(classes)),
+            channels,
+            first,
+            classes,
+            bad_edges: Vec::new(),
+            arrivals: Vec::new(),
+        }
+    }
+
+    /// Channel id of the populated edge `from -> to`, or `None` when it
+    /// is not one.
+    pub fn channel(&self, from: u32, to: u32) -> Option<u32> {
+        let lo = *self.first.get(from as usize)?;
+        let hi = *self.first.get(from as usize + 1)?;
+        self.channels[lo as usize..hi as usize]
+            .binary_search_by_key(&to, |&(_, t)| t)
+            .ok()
+            .map(|i| lo + i as u32)
+    }
+
     /// Vertex id of `(channel, class)`.
     pub fn vertex(&self, channel: u32, class: u8) -> u32 {
         u32::from(class) * self.channels.len() as u32 + channel
@@ -67,6 +111,55 @@ impl DepGraph {
         (ch, class)
     }
 
+    /// Follows the route from `src` to `dst` under `dead`, hop by hop
+    /// through [`forward_decision`], adding its wait-for arcs (and, when
+    /// `refolds`, its arrivals at forwarders). Returns the hop count, or
+    /// why the route stopped short of `dst`.
+    fn trace(
+        &mut self,
+        shape: &Shape,
+        n: u32,
+        src: u32,
+        dst: u32,
+        dead: &[u32],
+        refolds: bool,
+    ) -> Result<u32, String> {
+        let (mut prev, mut cur, mut class) = (src, src, 0u8);
+        let mut prev_vertex: Option<u32> = None;
+        let mut hops = 0u32;
+        // `forward_decision` returns None for both "arrived" and
+        // "unreachable"; the loop guard distinguishes them.
+        while cur != dst {
+            let Some((hop, c)) = forward_decision(shape, n, prev, cur, dst, class, dead) else {
+                return Err(format!("{src}->{dst} dead-ends at {cur}"));
+            };
+            let Some(ch) = self.channel(cur, hop) else {
+                self.bad_edges.push((cur, hop));
+                return Err(format!("{src}->{dst} hops off-topology {cur}->{hop}"));
+            };
+            if c >= self.classes {
+                return Err(format!(
+                    "{src}->{dst} escalates to class {c} (modelled {})",
+                    self.classes
+                ));
+            }
+            let v = self.vertex(ch, c);
+            if let Some(p) = prev_vertex {
+                self.graph.add_edge(p, v);
+            }
+            if refolds && hop != dst {
+                self.arrivals.push((ch, c, dst));
+            }
+            hops += 1;
+            if hops as usize > shape.ndims() {
+                return Err(format!("{src}->{dst} exceeds {} hops", shape.ndims()));
+            }
+            prev_vertex = Some(v);
+            (prev, cur, class) = (cur, hop, c);
+        }
+        Ok(hops)
+    }
+
     /// A cycle in the wait-for relation, decoded into a witness the
     /// report layer can render as DOT — or `None`, the certificate.
     pub fn find_cycle_witness(&self) -> Option<CycleWitness> {
@@ -77,117 +170,101 @@ impl DepGraph {
     }
 }
 
-/// Builds the dependency graph of `topo` with the nodes in `dead` already
-/// crashed, by walking every live ordered pair with the engine's own
-/// forwarding decision. With `dead = []` the hops are plain extended LDF,
-/// but the classes are not all 0: on a partial shape extended LDF's
-/// partial-slice skips fix a lower dimension after a higher one on some
-/// routes, and the decision escalates the class there. Dead nodes add
-/// route-around descents on top.
-pub fn build(topo: &Grid, dead: &[u32]) -> DepGraph {
-    let n = topo.num_nodes();
-    let mut channels = Vec::new();
-    let mut index: HashMap<(u32, u32), u32> = HashMap::new();
-    for from in 0..n {
-        for to in topo.out_neighbors(from) {
-            index.insert((from, to), channels.len() as u32);
-            channels.push((from, to));
-        }
-    }
-    let classes = escape_classes(topo).max(1);
-    let nch = channels.len() as u32;
-    let mut graph = DiGraph::new(channels.len() * usize::from(classes));
-    let mut bad_edges = Vec::new();
-    let mut arrivals = Vec::new();
+/// The totality check describes at most this many failing pairs; one
+/// failure already refuses the configuration.
+const REPORTED_FAILURES: usize = 5;
 
-    let shape = topo.shape();
-    for src in 0..n {
-        if dead.contains(&src) {
-            continue;
-        }
-        for dst in 0..n {
-            if src == dst || dead.contains(&dst) {
-                continue;
-            }
-            let mut prev = src;
-            let mut cur = src;
-            let mut class = 0u8;
-            let mut prev_vertex: Option<u32> = None;
-            // `forward_decision` returns None for both "arrived" and
-            // "unreachable"; the loop guard distinguishes them.
-            while cur != dst {
-                let Some((hop, c)) = forward_decision(shape, n, prev, cur, dst, class, dead) else {
-                    break; // unreachable: totality check reports it
-                };
-                let ch = match index.get(&(cur, hop)) {
-                    Some(&ch) => ch,
-                    None => {
-                        bad_edges.push((cur, hop));
-                        index.insert((cur, hop), channels.len() as u32);
-                        channels.push((cur, hop));
-                        channels.len() as u32 - 1
-                    }
-                };
-                if c >= classes || ch >= nch {
-                    // Out-of-range class or a late-registered bad edge:
-                    // both already recorded as failures; the graph proper
-                    // only spans the pre-sized vertex set.
-                    break;
-                }
-                let v = u32::from(c) * nch + ch;
-                if let Some(p) = prev_vertex {
-                    graph.add_edge(p, v);
-                } else {
-                    // First hop: nothing upstream to wait on.
-                }
-                if hop != dst {
-                    arrivals.push((ch, c, dst));
-                }
-                prev_vertex = Some(v);
-                prev = cur;
-                cur = hop;
-                class = c;
-            }
-        }
-    }
-    arrivals.sort_unstable();
-    arrivals.dedup();
-    DepGraph {
-        channels,
-        classes,
-        graph,
-        bad_edges,
-        arrivals,
-    }
+/// Everything one routing walk over the crash prefixes establishes.
+#[derive(Debug)]
+pub struct Walk {
+    /// The union of every prefix's wait-for relation.
+    pub dg: DepGraph,
+    /// Ordered pairs of nodes live under the final dead set.
+    pub live_pairs: u64,
+    /// The first five live pairs, in `(src, dst)` order, whose route
+    /// under the final dead set dead-ends, leaves the topology, escalates
+    /// past the modelled classes or exceeds `ndims` hops.
+    pub failures: Vec<String>,
+    /// The largest forwarding depth (hops minus the terminal delivery)
+    /// of any pair in the dead-free prefix.
+    pub max_depth: u32,
+    /// The first pair, in `(src, dst)` order, of depth `max_depth`
+    /// (`(0, 0)` when no pair forwards).
+    pub depth_pair: (u32, u32),
 }
 
-/// Builds the *union* dependency graph over every crash prefix of
-/// `dead_sequence`: requests issued before the k-th crash still occupy
-/// buffers chosen under the old dead set while rerouted traffic claims
-/// buffers under the new one, so transition safety needs the union of all
-/// prefix graphs acyclic — which the strictly rising `(class, dimension)`
-/// rank gives for free, and this function lets us *check* instead of
-/// assume.
-pub fn build_union(topo: &Grid, dead_sequence: &[u32]) -> DepGraph {
-    let mut acc = build(topo, &[]);
-    let mut dead: Vec<u32> = Vec::new();
-    for &node in dead_sequence {
-        dead.push(node);
-        dead.sort_unstable();
-        let g = build(topo, &dead);
-        // Channel enumeration is identical across prefixes (it comes from
-        // the topology, not the dead set), so vertex ids line up and the
-        // graphs merge directly.
-        debug_assert_eq!(acc.channels, g.channels);
-        acc.graph.merge_from(&g.graph);
-        acc.bad_edges.extend(g.bad_edges);
-        acc.arrivals.extend(g.arrivals);
+/// Walks every live ordered pair of `topo` once per crash prefix of
+/// `dead_sequence` (the empty prefix first) with the engine's own
+/// forwarding decision, and returns the **union** dependency graph with
+/// the route facts the checks need.
+///
+/// The union matters because requests issued before the k-th crash still
+/// occupy buffers chosen under the old dead set while rerouted traffic
+/// claims buffers under the new one, so transition safety needs the union
+/// of all prefix graphs acyclic — which the strictly rising
+/// `(class, dimension)` rank gives for free, and this lets us *check*
+/// instead of assume. Channel enumeration comes from the topology, not
+/// the dead set, so every prefix adds arcs to the same vertex set. With
+/// nothing dead the hops are plain extended LDF, but the classes are not
+/// all 0: on a partial shape extended LDF's partial-slice skips fix a
+/// lower dimension after a higher one on some routes, and the decision
+/// escalates the class there. Dead nodes add route-around descents on top.
+///
+/// Totality failures are taken from the final prefix, the depth from the
+/// empty one (where the walk visits exactly [`vt_core::ldf::route`]'s
+/// hops), and refold arrivals from every prefix, only when `refolds`.
+///
+/// # Panics
+/// Panics if a node of `dead_sequence` is not a node of `topo`.
+pub fn walk(topo: &Grid, dead_sequence: &[u32], refolds: bool) -> Walk {
+    let n = topo.num_nodes();
+    let shape = topo.shape();
+    let mut w = Walk {
+        dg: DepGraph::empty(topo, escape_classes(topo)),
+        live_pairs: 0,
+        failures: Vec::new(),
+        max_depth: 0,
+        depth_pair: (0, 0),
+    };
+    let mut dead: Vec<u32> = Vec::with_capacity(dead_sequence.len());
+    let mut live = vec![true; n as usize];
+    for prefix in 0..=dead_sequence.len() {
+        if prefix > 0 {
+            let node = dead_sequence[prefix - 1];
+            dead.push(node);
+            dead.sort_unstable();
+            live[node as usize] = false;
+        }
+        let last = prefix == dead_sequence.len();
+        for src in (0..n).filter(|&v| live[v as usize]) {
+            for dst in (0..n).filter(|&v| v != src && live[v as usize]) {
+                let route = w.dg.trace(shape, n, src, dst, &dead, refolds);
+                if last {
+                    w.live_pairs += 1;
+                }
+                match route {
+                    Ok(hops) => {
+                        let depth = hops.saturating_sub(1);
+                        if prefix == 0 && depth > w.max_depth {
+                            w.max_depth = depth;
+                            w.depth_pair = (src, dst);
+                        }
+                    }
+                    Err(why) if last && w.failures.len() < REPORTED_FAILURES => {
+                        w.failures.push(why);
+                    }
+                    Err(_) => {}
+                }
+            }
+        }
+        if refolds {
+            w.dg.arrivals.sort_unstable();
+            w.dg.arrivals.dedup();
+        }
     }
-    acc.bad_edges.sort_unstable();
-    acc.bad_edges.dedup();
-    acc.arrivals.sort_unstable();
-    acc.arrivals.dedup();
-    acc
+    w.dg.bad_edges.sort_unstable();
+    w.dg.bad_edges.dedup();
+    w
 }
 
 /// Builds the dependency graph of an **arbitrary** classed router over
@@ -195,65 +272,38 @@ pub fn build_union(topo: &Grid, dead_sequence: &[u32]) -> DepGraph {
 /// other than the engine's (and for proving that a deliberately miswired
 /// one is caught: a cyclic router here must produce a cycle witness).
 /// The router returns, per ordered pair, the classed hop sequence, or
-/// `None` to decline the pair.
+/// `None` to decline the pair. Arrivals are not recorded.
 pub fn build_with_router<F>(topo: &Grid, classes: u8, mut router: F) -> DepGraph
 where
     F: FnMut(u32, u32) -> Option<Vec<(u32, u8)>>,
 {
     let n = topo.num_nodes();
-    let mut channels = Vec::new();
-    let mut index: HashMap<(u32, u32), u32> = HashMap::new();
-    for from in 0..n {
-        for to in topo.out_neighbors(from) {
-            index.insert((from, to), channels.len() as u32);
-            channels.push((from, to));
-        }
-    }
-    let classes = classes.max(1);
-    let nch = channels.len() as u32;
-    let mut graph = DiGraph::new(channels.len() * usize::from(classes));
-    let mut bad_edges = Vec::new();
-    let mut arrivals = Vec::new();
+    let mut dg = DepGraph::empty(topo, classes);
     for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
+        for dst in (0..n).filter(|&v| v != src) {
             let Some(route) = router(src, dst) else {
                 continue;
             };
             let mut cur = src;
             let mut prev_vertex: Option<u32> = None;
             for &(hop, class) in &route {
-                let Some(&ch) = index.get(&(cur, hop)) else {
-                    bad_edges.push((cur, hop));
-                    break;
+                let ch = match dg.channel(cur, hop) {
+                    Some(ch) if class < dg.classes => ch,
+                    _ => {
+                        dg.bad_edges.push((cur, hop));
+                        break;
+                    }
                 };
-                if class >= classes {
-                    bad_edges.push((cur, hop));
-                    break;
-                }
-                let v = u32::from(class) * nch + ch;
+                let v = dg.vertex(ch, class);
                 if let Some(p) = prev_vertex {
-                    graph.add_edge(p, v);
-                }
-                if hop != dst {
-                    arrivals.push((ch, class, dst));
+                    dg.graph.add_edge(p, v);
                 }
                 prev_vertex = Some(v);
                 cur = hop;
             }
         }
     }
-    arrivals.sort_unstable();
-    arrivals.dedup();
-    DepGraph {
-        channels,
-        classes,
-        graph,
-        bad_edges,
-        arrivals,
-    }
+    dg
 }
 
 #[cfg(test)]
@@ -265,7 +315,7 @@ mod tests {
     #[test]
     fn fault_free_graph_is_class_zero_only() {
         let topo = TopologyKind::Cfcg.build(27);
-        let dg = build(&topo, &[]);
+        let dg = walk(&topo, &[], false).dg;
         assert!(dg.bad_edges.is_empty());
         let nch = dg.channels.len() as u32;
         // No arc may leave class 0 without a dead set.
@@ -280,8 +330,7 @@ mod tests {
     #[test]
     fn route_around_uses_higher_classes_and_stays_acyclic() {
         let topo = TopologyKind::Cfcg.build(27);
-        let dead = [1u32];
-        let dg = build(&topo, &dead);
+        let dg = walk(&topo, &[1], false).dg;
         assert!(dg.bad_edges.is_empty());
         let nch = dg.channels.len() as u32;
         let has_escape = (0..dg.graph.len() as u32).any(|v| {
@@ -330,7 +379,7 @@ mod tests {
                 20
             };
             let topo = kind.build(n);
-            let dg = build_union(&topo, &[3, 5]);
+            let dg = walk(&topo, &[3, 5], false).dg;
             assert!(
                 dg.find_cycle_witness().is_none(),
                 "{kind} union graph must be acyclic"

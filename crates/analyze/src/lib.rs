@@ -194,15 +194,15 @@ pub fn analyze(cfg: &AnalyzeConfig) -> Result<AnalysisReport, String> {
     dead.sort_unstable();
     dead.dedup();
 
-    let dg = depgraph::build_union(&topo, &cfg.dead_sequence);
+    let walk = depgraph::walk(&topo, &cfg.dead_sequence, cfg.coalescing);
     let mut checks = Vec::new();
-    let (acyclic, counterexample) = checks::check_acyclic(&dg);
+    let (acyclic, counterexample) = checks::check_acyclic(&walk.dg);
     checks.push(acyclic);
-    checks.push(checks::check_totality(&topo, &dead, &dg));
-    checks.push(checks::check_depth(&topo));
+    checks.push(checks::check_totality(&topo, &walk));
+    checks.push(checks::check_depth(&topo, &walk));
     checks.push(checks::check_budget(&topo, cfg));
     if cfg.coalescing {
-        checks.push(checks::check_coalescing(&topo, &dead, &dg));
+        checks.push(checks::check_coalescing(&topo, &dead, &walk.dg));
     }
 
     let model = if cfg.model_check {

@@ -43,26 +43,50 @@ pub fn next_hop(shape: &Shape, n: u32, current: u32, dest: u32) -> Option<u32> {
     if current == dest {
         return None;
     }
-    let s = shape.coord_of(current);
-    let t = shape.coord_of(dest);
-    for dim in 0..shape.ndims() {
-        if s.get(dim) != t.get(dim) {
-            let mut d = s;
-            d.set(dim, t.get(dim));
-            let id = shape.id_of(&d);
-            if id < n {
-                return Some(id);
-            }
-            // Extended LDF: the natural hop would leave the population
-            // (possible only inside the partial top slice); defer this
-            // dimension and try the next higher one.
-        }
-    }
-    unreachable!(
+    let hop = ldf_scan(shape, n, current, dest, |_| true);
+    assert!(
+        hop.is_some(),
         "extended LDF invariant violated: no legal hop from {current} to {dest} \
          on shape {:?} with n = {n}",
         shape.dims()
     );
+    hop
+}
+
+/// The extended-LDF scan behind [`next_hop`] and [`next_hop_avoiding`]:
+/// the first hop, lowest dimension first, that fixes one differing
+/// coordinate of `current` to `dest`'s, lands inside the population and
+/// is `usable`. Works on the mixed-radix digits of the two ids directly
+/// (the hop replaces one digit of `current`), so no [`Coord`](crate::Coord)
+/// is built; the scan stops as soon as the remaining higher digits agree.
+#[inline]
+fn ldf_scan(
+    shape: &Shape,
+    n: u32,
+    current: u32,
+    dest: u32,
+    usable: impl Fn(u32) -> bool,
+) -> Option<u32> {
+    let (mut s, mut t) = (current, dest);
+    let mut stride = 1u64;
+    for &d in shape.dims() {
+        if s == t {
+            break;
+        }
+        let (ds, dt) = (s % d, t % d);
+        if ds != dt {
+            let id = u64::from(current) - u64::from(ds) * stride + u64::from(dt) * stride;
+            if id < u64::from(n) && usable(id as u32) {
+                return Some(id as u32);
+            }
+            // Missing (partial top slice) or unusable: defer this
+            // dimension and try the next higher differing one.
+        }
+        s /= d;
+        t /= d;
+        stride *= u64::from(d);
+    }
+    None
 }
 
 /// Outcome of a dead-set-aware next-hop decision ([`next_hop_avoiding`]).
@@ -138,21 +162,10 @@ pub fn next_hop_avoiding(
     if dead.contains(&dest) {
         return HopDecision::Unreachable;
     }
-    let s = shape.coord_of(current);
-    let t = shape.coord_of(dest);
-    for dim in 0..shape.ndims() {
-        if s.get(dim) != t.get(dim) {
-            let mut d = s;
-            d.set(dim, t.get(dim));
-            let id = shape.id_of(&d);
-            if id < n && !dead.contains(&id) {
-                return HopDecision::Hop(id);
-            }
-            // Missing (partial top slice) or dead: defer this dimension and
-            // escape to the next higher differing one.
-        }
+    match ldf_scan(shape, n, current, dest, |id| !dead.contains(&id)) {
+        Some(id) => HopDecision::Hop(id),
+        None => HopDecision::Unreachable,
     }
-    HopDecision::Unreachable
 }
 
 /// The full route-around route from `src` to `dest`, or `None` when some
@@ -188,17 +201,28 @@ pub fn route_avoiding(
 /// # Panics
 /// Panics if `a` and `b` do not differ in exactly one dimension.
 pub fn crossing_dim(shape: &Shape, a: u32, b: u32) -> usize {
-    let ca = shape.coord_of(a);
-    let cb = shape.coord_of(b);
+    for id in [a, b] {
+        assert!(
+            u64::from(id) < shape.capacity(),
+            "id {id} out of range for shape {:?}",
+            shape.dims()
+        );
+    }
+    let (mut x, mut y) = (a, b);
     let mut found = None;
-    for dim in 0..shape.ndims() {
-        if ca.get(dim) != cb.get(dim) {
+    for (dim, &d) in shape.dims().iter().enumerate() {
+        if x == y {
+            break;
+        }
+        if x % d != y % d {
             assert!(
                 found.is_none(),
                 "{a} and {b} differ in more than one dimension"
             );
             found = Some(dim);
         }
+        x /= d;
+        y /= d;
     }
     found.unwrap_or_else(|| panic!("{a} and {b} occupy the same position"))
 }

@@ -15,6 +15,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape {
     dims: Vec<u32>,
+    /// `∏ dims`, computed once: every routing decision checks its
+    /// population against it.
+    capacity: u64,
 }
 
 impl Shape {
@@ -40,7 +43,10 @@ impl Shape {
                 None => panic!("shape {dims:?} capacity overflows u64"),
             };
         }
-        Shape { dims }
+        Shape {
+            dims,
+            capacity: cap,
+        }
     }
 
     /// A one-dimensional shape of extent `n` (the FCG "shape").
@@ -129,8 +135,9 @@ impl Shape {
 
     /// Total number of grid points (`∏ dims`), i.e. the population of a
     /// *fully* populated topology of this shape.
+    #[inline]
     pub fn capacity(&self) -> u64 {
-        self.dims.iter().map(|&d| u64::from(d)).product()
+        self.capacity
     }
 
     /// Decodes a node id into its coordinate (mixed radix, dimension 0

@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 use vt_analyze::depgraph::{self, DepGraph};
+use vt_analyze::AnalyzeConfig;
 use vt_armci::{Action, FaultPlan, Op, Rank, RuntimeConfig, ScriptProgram, Simulation};
 use vt_core::TopologyKind;
 use vt_simnet::SimTime;
@@ -189,7 +190,7 @@ proptest! {
                 Some(route)
             })
         } else {
-            depgraph::build(&topo, &[])
+            depgraph::walk(&topo, &[], false).dg
         };
         let witness = dg.find_cycle_witness();
         prop_assert_eq!(
@@ -225,4 +226,38 @@ fn gcd(a: u32, b: u32) -> u32 {
     } else {
         gcd(b, a % b)
     }
+}
+
+/// The analyzer's human reports (model checker off) at sizes well past
+/// the verification matrix, byte-compared against
+/// `tests/golden/analyze_scale.txt`: CFCG over 250 nodes with two crashes
+/// and coalescing, MFCG over 211 and a 256-node hypercube with one crash
+/// each, and a 97-node FCG with coalescing. Channel and arc counts, live
+/// pairs, the depth witness and the refold count all appear in the text.
+/// The snapshot is an oracle, not a regenerated artefact: no environment
+/// variable rewrites it.
+#[test]
+fn at_scale_reports_match_the_golden() {
+    let configs: [(TopologyKind, u32, &[u32], bool); 4] = [
+        (TopologyKind::Cfcg, 250, &[17, 130], true),
+        (TopologyKind::Mfcg, 211, &[5], false),
+        (TopologyKind::Hypercube, 256, &[3], false),
+        (TopologyKind::Fcg, 97, &[], true),
+    ];
+    let reports: Vec<String> = configs
+        .iter()
+        .map(|&(kind, nodes, dead, coalescing)| {
+            let mut cfg = AnalyzeConfig::new(kind, nodes);
+            cfg.dead_sequence = dead.to_vec();
+            cfg.coalescing = coalescing;
+            cfg.model_check = false;
+            vt_analyze::analyze(&cfg).expect("well-posed").render()
+        })
+        .collect();
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/analyze_scale.txt"
+    );
+    let expected = std::fs::read_to_string(golden).expect("golden snapshot present");
+    assert_eq!(reports.join("\n"), expected);
 }

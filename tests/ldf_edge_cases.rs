@@ -1,11 +1,14 @@
 //! Edge cases of extended LDF routing and the coalescing envelope bound:
 //! the degenerate one-node mesh, partially populated meshes and cubes at
-//! every packing boundary, the hypercube's power-of-two restriction, and
+//! every packing boundary, the hypercube's power-of-two restriction, the
+//! LDF primitives' digit arithmetic against the coordinate decode, and
 //! envelope splitting exactly at the byte budget.
 
+use proptest::prelude::*;
 use vt_armci::{
     Action, CoalesceConfig, Op, Rank, Report, RuntimeConfig, ScriptProgram, SimTime, Simulation,
 };
+use vt_core::ldf::HopDecision;
 use vt_core::{ldf, Shape, TopologyKind, VirtualTopology};
 
 // ---- One-node topologies ------------------------------------------------
@@ -133,6 +136,102 @@ fn ldf_panics_on_out_of_population_nodes() {
     let shape = Shape::mesh_for(10);
     assert!(std::panic::catch_unwind(|| ldf::next_hop(&shape, 10, 10, 0)).is_err());
     assert!(std::panic::catch_unwind(|| ldf::next_hop(&shape, 10, 0, 11)).is_err());
+}
+
+// ---- Digit arithmetic against the coordinate decode ---------------------
+
+/// Every one-coordinate move of `node` toward `dest`, lowest dimension
+/// first, populated or not, computed with `Shape::coord_of`/`id_of`.
+fn reference_moves(shape: &Shape, node: u32, dest: u32) -> Vec<(usize, u32)> {
+    let (s, t) = (shape.coord_of(node), shape.coord_of(dest));
+    (0..shape.ndims())
+        .filter(|&d| s.get(d) != t.get(d))
+        .map(|d| {
+            let mut c = s;
+            c.set(d, t.get(d));
+            (d, shape.id_of(&c))
+        })
+        .collect()
+}
+
+/// Extended LDF over the coordinate decode: the first move toward `dest`
+/// that is populated and not in `dead`.
+fn reference_hop(shape: &Shape, n: u32, current: u32, dest: u32, dead: &[u32]) -> Option<u32> {
+    reference_moves(shape, current, dest)
+        .into_iter()
+        .map(|(_, id)| id)
+        .find(|&id| id < n && !dead.contains(&id))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `next_hop`, `next_hop_avoiding` and `crossing_dim` read mixed-radix
+    /// digits straight off the node ids; they must agree with the
+    /// coordinate decode on any shape of 1–10 dimensions, any population
+    /// leaving only the highest dimension partial, and dead sets drawn
+    /// from the very hops the scan considers.
+    #[test]
+    fn digit_primitives_agree_with_the_coordinate_decode(
+        ndims in 1usize..11,
+        extents in (1u32..7, 1u32..7, 1u32..7, 1u32..7, 1u32..7,
+                    1u32..7, 1u32..7, 1u32..7, 1u32..7, 1u32..7),
+        fill: u64,
+        seed: u64,
+    ) {
+        let (a, b, c, d, e, f, g, h, i, j) = extents;
+        let shape = Shape::new([a, b, c, d, e, f, g, h, i, j][..ndims].to_vec());
+        let cap = shape.capacity();
+        let top = u64::from(shape.dim(ndims - 1));
+        let below = cap / top * (top - 1);
+        let n = (below + 1 + fill % (cap - below)) as u32;
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for _ in 0..32 {
+            let cur = draw(u64::from(n)) as u32;
+            let dest = draw(u64::from(n)) as u32;
+            let plain = ldf::next_hop(&shape, n, cur, dest);
+            let expected = (cur != dest).then(|| reference_hop(&shape, n, cur, dest, &[]));
+            prop_assert_eq!(plain, expected.flatten(), "{:?} n={} {}->{}", shape.dims(), n, cur, dest);
+
+            // Kill a random subset of the candidate hops, and sometimes
+            // the destination or an unrelated node.
+            let moves = reference_moves(&shape, cur, dest);
+            let mut dead: Vec<u32> = moves
+                .iter()
+                .map(|&(_, id)| id)
+                .filter(|&id| id != dest && draw(2) == 0)
+                .collect();
+            if draw(4) == 0 {
+                dead.push(dest);
+            }
+            dead.push(draw(u64::from(n)) as u32);
+            dead.retain(|&v| v != cur);
+            let expected = if cur == dest {
+                HopDecision::Arrived
+            } else if dead.contains(&dest) {
+                HopDecision::Unreachable
+            } else {
+                reference_hop(&shape, n, cur, dest, &dead)
+                    .map_or(HopDecision::Unreachable, HopDecision::Hop)
+            };
+            prop_assert_eq!(
+                ldf::next_hop_avoiding(&shape, n, cur, dest, &dead),
+                expected,
+                "{:?} n={} {}->{} dead {:?}", shape.dims(), n, cur, dest, dead
+            );
+
+            // Every one-coordinate move crosses exactly its dimension,
+            // whether or not the far end is populated.
+            for (dim, id) in moves {
+                prop_assert_eq!(ldf::crossing_dim(&shape, cur, id), dim);
+                prop_assert_eq!(ldf::crossing_dim(&shape, id, cur), dim);
+            }
+        }
+    }
 }
 
 // ---- Envelope splitting at the byte budget ------------------------------

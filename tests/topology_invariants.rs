@@ -3,7 +3,8 @@
 //! population, and the resource-graph metrics scale as §III states.
 
 use proptest::prelude::*;
-use vt_core::{DependencyGraph, RequestTree, TopologyKind, VirtualTopology};
+use vt_armci::forward_decision;
+use vt_core::{ldf, DependencyGraph, RequestTree, TopologyKind, VirtualTopology};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -140,4 +141,45 @@ fn max_forwarding_matches_paper() {
     assert_eq!(TopologyKind::Mfcg.build(100).max_forwarding_steps(), 1);
     assert_eq!(TopologyKind::Cfcg.build(100).max_forwarding_steps(), 2);
     assert_eq!(TopologyKind::Hypercube.build(128).max_forwarding_steps(), 6);
+}
+
+/// With nothing dead, walking the engine's route-around decision from
+/// every source to every destination visits exactly the hops of plain
+/// extended LDF. `vt-analyze` relies on this identity: it takes the
+/// fault-free forwarding depth from its dead-free walk instead of
+/// `ldf::route`. Every population up to 70 is covered, partial packings
+/// included.
+#[test]
+fn dead_free_forward_decision_walks_the_ldf_route() {
+    let kinds = [
+        TopologyKind::Fcg,
+        TopologyKind::Mfcg,
+        TopologyKind::Cfcg,
+        TopologyKind::Hypercube,
+        TopologyKind::KFcg(4),
+    ];
+    for kind in kinds {
+        for n in (1..=70).filter(|&n| kind.supports(n)) {
+            let topo = kind.build(n);
+            let shape = topo.shape();
+            for src in 0..n {
+                for dst in 0..n {
+                    let mut walked = Vec::new();
+                    let (mut prev, mut cur, mut class) = (src, src, 0);
+                    while let Some((hop, c)) =
+                        forward_decision(shape, n, prev, cur, dst, class, &[])
+                    {
+                        walked.push(hop);
+                        assert!(walked.len() <= shape.ndims(), "{kind} n={n} {src}->{dst}");
+                        (prev, cur, class) = (cur, hop, c);
+                    }
+                    assert_eq!(
+                        walked,
+                        ldf::route(shape, n, src, dst),
+                        "{kind} n={n} {src}->{dst}"
+                    );
+                }
+            }
+        }
+    }
 }
