@@ -5,8 +5,7 @@
 //! serving) a run forwards on the topology's table in escape class 0. With
 //! it, [`forward_decision`] routes around the dead set, over the survivor
 //! packing once a repair landed. With nothing dead both pick the same
-//! nodes (`tests/topology_invariants.rs` walks every pair of every
-//! population up to 70), but not the same classes: on a partial shape extended LDF fixes
+//! nodes, but not the same classes: on a partial shape extended LDF fixes
 //! a lower dimension after a higher one on some routes, which the
 //! route-around router counts as a class escalation (MFCG over 3 nodes
 //! routes 2 → 1 as `[(0, 0), (1, 1)]`). Classes are separate credit pools,
@@ -95,6 +94,7 @@ impl Engine {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use vt_core::TopologyKind;
@@ -116,5 +116,46 @@ mod tests {
             forward_decision(grid.shape(), 3, 2, 0, 1, 0, &[]),
             Some((1, 1))
         );
+    }
+
+    #[test]
+    fn empty_dead_set_hops_match_the_topology_table() {
+        let kinds = [
+            TopologyKind::Fcg,
+            TopologyKind::Mfcg,
+            TopologyKind::Cfcg,
+            TopologyKind::KFcg(4),
+            TopologyKind::Hypercube,
+        ];
+        for kind in kinds {
+            for n in 1..=64 {
+                if !kind.supports(n) {
+                    continue;
+                }
+                let grid = kind.build(n);
+                for src in 0..n {
+                    for dest in 0..n {
+                        // Walk the route, carrying the class like the engine.
+                        let (mut prev, mut cur, mut class) = (src, src, 0);
+                        while cur != dest {
+                            let want = grid.next_hop(cur, dest);
+                            let got =
+                                forward_decision(grid.shape(), n, prev, cur, dest, class, &[]);
+                            assert_eq!(
+                                got.map(|(h, _)| h),
+                                want,
+                                "{kind:?} n={n} {src}->{dest} at {cur}"
+                            );
+                            let (h, c) = got.unwrap();
+                            (prev, cur, class) = (cur, h, c);
+                        }
+                        assert_eq!(
+                            forward_decision(grid.shape(), n, prev, cur, dest, class, &[]),
+                            None
+                        );
+                    }
+                }
+            }
+        }
     }
 }

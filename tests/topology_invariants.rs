@@ -145,10 +145,11 @@ fn max_forwarding_matches_paper() {
 
 /// With nothing dead, walking the engine's route-around decision from
 /// every source to every destination visits exactly the hops of plain
-/// extended LDF. `vt-analyze` relies on this identity: it takes the
-/// fault-free forwarding depth from its dead-free walk instead of
-/// `ldf::route`. Every population up to 70 is covered, partial packings
-/// included.
+/// extended LDF, which are also the hops of the table router a run
+/// without recovery forwards on. `vt-analyze` relies on this identity: it
+/// takes the fault-free forwarding depth from its dead-free walk instead
+/// of `ldf::route`. Every population up to 70 is covered, partial
+/// packings included.
 #[test]
 fn dead_free_forward_decision_walks_the_ldf_route() {
     let kinds = [
@@ -178,6 +179,8 @@ fn dead_free_forward_decision_walks_the_ldf_route() {
                         ldf::route(shape, n, src, dst),
                         "{kind} n={n} {src}->{dst}"
                     );
+                    // The engine's table router takes the same hops.
+                    assert_eq!(walked, topo.route(src, dst), "{kind} n={n} {src}->{dst}");
                 }
             }
         }
