@@ -177,12 +177,10 @@ pub fn run(cfg: &FaultScenarioConfig) -> FaultOutcome {
 /// endings as a typed error instead of panicking.
 ///
 /// # Errors
-/// Returns [`RunError`](crate::RunError) when either the healthy baseline
-/// or the faulted run ends abnormally.
-///
-/// # Panics
-/// Still panics when the `vt-analyze` pre-flight refuses to certify the
-/// crashed configuration — that is a caller bug, not a runtime outcome.
+/// Returns [`RunError::Uncertified`](crate::RunError::Uncertified) with the
+/// analyzer's report when the `vt-analyze` pre-flight refuses to certify
+/// the crashed configuration, and another [`RunError`](crate::RunError)
+/// when either the healthy baseline or the faulted run ends abnormally.
 pub fn try_run(cfg: &FaultScenarioConfig) -> Result<FaultOutcome, crate::RunError> {
     let victim = cfg.victim_node();
     let plan = FaultPlan::new().crash_node(cfg.kill_at, victim);
@@ -195,9 +193,8 @@ pub fn try_run(cfg: &FaultScenarioConfig) -> Result<FaultOutcome, crate::RunErro
     // the refusal is survivable by design (live re-packing certifies at
     // repair time instead — see `crate::repair`), so the gate is skipped.
     if !cfg.membership {
-        if let Err(report) = vt_analyze::certify(&runtime_config(cfg), Some(&plan)) {
-            panic!("pre-flight verification failed:\n{report}");
-        }
+        vt_analyze::certify(&runtime_config(cfg), Some(&plan))
+            .map_err(crate::RunError::Uncertified)?;
     }
     let healthy = build(cfg, &FaultPlan::default()).run()?;
     let mut faulted = build(cfg, &plan);

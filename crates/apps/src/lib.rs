@@ -75,6 +75,9 @@ pub enum RunError {
     Plan(vt_simnet::FaultPlanError),
     /// A harness-side invariant failed; the message names it.
     Harness(String),
+    /// The `vt-analyze` pre-flight refused to certify the configuration;
+    /// the payload is the analyzer's rendered report.
+    Uncertified(String),
 }
 
 impl std::fmt::Display for RunError {
@@ -83,6 +86,7 @@ impl std::fmt::Display for RunError {
             RunError::Sim(e) => write!(f, "simulation failed: {e}"),
             RunError::Plan(e) => write!(f, "invalid fault plan: {e}"),
             RunError::Harness(msg) => write!(f, "harness invariant failed: {msg}"),
+            RunError::Uncertified(report) => write!(f, "pre-flight verification failed:\n{report}"),
         }
     }
 }

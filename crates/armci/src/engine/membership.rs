@@ -2,6 +2,15 @@
 //! crash, reboot, rejoin and partition handlers, the phi-accrual failure
 //! detector (membership with a plan), and the epoch view with its commit
 //! (membership, or serving's load re-pack).
+//!
+//! The detector keeps one global evidence table, an abstraction of gossip
+//! dissemination: any node's evidence about a peer counts for all. Idle
+//! probing is spread over a ring on the view: each silent node is probed
+//! by its successor among the unconfirmed nodes, so every node sends at
+//! most one probe per heartbeat period and no NIC becomes the liveness hot
+//! spot for the whole machine. A raised suspicion is confirmed against the
+//! simulator's ground truth, an oracle standing in for SWIM's indirect
+//! probes (Das, Gupta and Motivala, DSN 2002).
 
 use super::*;
 use std::collections::BTreeMap;
@@ -12,6 +21,26 @@ const PROBE_BYTES: u64 = 16;
 
 /// A failure-detector heartbeat probe frame.
 const PROBE: Frame = Frame::Probe(PROBE_BYTES);
+
+/// The first node after `node`, in cyclic node-id order, that `member`
+/// accepts: `node`'s successor on the ring of accepted nodes. `None` when
+/// no other node is accepted.
+///
+/// The detector probes each silent node from its successor among the
+/// unconfirmed nodes. Every unconfirmed node then has exactly one prober,
+/// and probes at most one peer itself (its nearest unconfirmed
+/// predecessor), so no NIC carries more than one probe and one ack per
+/// heartbeat period. The scans of one sweep cover disjoint arcs of the
+/// ring, so a whole sweep stays O(nodes).
+fn ring_successor(
+    n_nodes: u32,
+    node: NodeId,
+    mut member: impl FnMut(NodeId) -> bool,
+) -> Option<NodeId> {
+    (1..n_nodes)
+        .map(|k| (node + k) % n_nodes)
+        .find(|&p| member(p))
+}
 
 /// Certifier consulted on every rung of the repair fallback ladder before
 /// an epoch commits: given a topology kind and a survivor count, accept the
@@ -45,7 +74,8 @@ impl Outages {
     }
 }
 
-/// The failure detector's evidence.
+/// The failure detector's evidence: one table for the whole machine, the
+/// result gossip would converge to, not one table per observer.
 #[derive(Default)]
 pub(super) struct Detector {
     /// Last liveness evidence per node.
@@ -351,9 +381,11 @@ impl Engine {
     /// rejoin evidence: the failure detector never probes a *confirmed*
     /// node and the revived ranks' own traffic is unroutable until the
     /// grow-back epoch commits, so without this the view would never heal.
-    /// The announcement is an ordinary droppable probe to the lowest-id
-    /// live peer still in the view; it re-arms each heartbeat period until
-    /// the node is no longer confirmed dead.
+    /// The announcement is an ordinary droppable probe to the node's ring
+    /// successor among the live peers still in the view (see
+    /// [`ring_successor`]), so announcements spread over the ring like
+    /// probes; it re-arms each heartbeat period until the node is no
+    /// longer confirmed dead.
     pub(super) fn rejoin_announce(&mut self, now: SimTime, node: NodeId) {
         // Re-admitted (or crashed again): nothing to announce; quiescent:
         // let the run end.
@@ -364,9 +396,8 @@ impl Engine {
         {
             return;
         }
-        let n_nodes = self.layout.num_nodes();
-        let peer = (0..n_nodes).find(|&p| {
-            p != node && confirmed.binary_search(&p).is_err() && !self.net.node_dead(p, now)
+        let peer = ring_successor(self.layout.num_nodes(), node, |p| {
+            confirmed.binary_search(&p).is_err() && !self.net.node_dead(p, now)
         });
         if let Some(peer) = peer {
             self.repair.probes += 1;
@@ -447,9 +478,13 @@ impl Engine {
         m.suspected[idx] = false;
     }
 
-    /// The failure detector's periodic sweep: probe silent peers, accrue
-    /// suspicion against the expected evidence interval, and confirm
-    /// crashes (scheduling an epoch commit after the drain window).
+    /// The failure detector's periodic sweep: probe each silent peer from
+    /// its ring successor in the view (see [`ring_successor`]: at most one
+    /// probe per node per period), accrue suspicion against the expected
+    /// evidence interval, and confirm crashes (scheduling an epoch commit
+    /// after the drain window). The prober is chosen from the view alone;
+    /// confirmation reads the simulator's ground truth as an oracle for
+    /// SWIM's indirect probes.
     pub(super) fn membership_tick(&mut self, now: SimTime) {
         if self.quiescent() {
             return; // Quiescent: stop ticking so the run can end.
@@ -470,11 +505,10 @@ impl Engine {
             if elapsed < period {
                 continue;
             }
-            // Idle-probe fallback: the lowest-id other unconfirmed node
-            // pings the silent peer; a live peer's ack restores its
-            // evidence stream. Probes are real droppable messages.
-            let prober =
-                (0..n_nodes).find(|&p| p != node && d.confirmed.binary_search(&p).is_err());
+            // Idle-probe fallback: the silent peer's ring successor in the
+            // view pings it; a live peer's ack restores its evidence
+            // stream. Probes are real droppable messages.
+            let prober = ring_successor(n_nodes, node, |p| d.confirmed.binary_search(&p).is_err());
             if let Some(prober) = prober {
                 self.repair.probes += 1;
                 if let Ok(arrival) = self.transmit(now, prober, node, PROBE) {
@@ -499,9 +533,10 @@ impl Engine {
                 d.suspected[idx] = true;
                 self.repair.suspicions += 1;
                 if self.net.node_dead(node, now) {
-                    // Confirmation round: indirect probes agree the peer is
-                    // gone. Record it and schedule the repair once the
-                    // drain window elapses.
+                    // Confirmation round, read from ground truth as an
+                    // oracle for SWIM's indirect probes: the peer is gone.
+                    // Record it and schedule the repair once the drain
+                    // window elapses.
                     if let Err(pos) = d.confirmed.binary_search(&node) {
                         d.confirmed.insert(pos, node);
                     }
@@ -892,18 +927,60 @@ mod tests {
     }
 
     #[test]
+    fn one_sweep_sends_at_most_one_probe_per_node() {
+        // Every node has been silent for a full heartbeat period. The
+        // confirmed dead include node 0 and runs of consecutive nodes, one
+        // of them wrapping from node 23 round to node 1.
+        let n = 24;
+        let mut cfg = small_cfg(n, TopologyKind::Fcg);
+        cfg.procs_per_node = 1;
+        cfg.membership = crate::config::MembershipConfig::on();
+        let plan = FaultPlan::new().crash_node(SimTime::from_secs(100), 3);
+        let programs = (0..n)
+            .map(|_| Box::new(ScriptProgram::new(vec![])) as Box<dyn Program>)
+            .collect();
+        let mut e = Engine::with_faults(cfg, programs, &plan);
+        let confirmed = vec![0, 1, 5, 6, 7, 12, 23];
+        for &node in &confirmed {
+            e.net.kill_node(node);
+        }
+        e.detector.as_mut().unwrap().confirmed = confirmed.clone();
+
+        e.membership_tick(cfg.membership.heartbeat_period);
+
+        let mut sent = vec![0u32; n as usize];
+        let mut probed = vec![false; n as usize];
+        while let Some((_, ev)) = e.queue.pop() {
+            if let Event::ProbeArrive { node, prober } = ev {
+                sent[prober as usize] += 1;
+                probed[node as usize] = true;
+            }
+        }
+        assert_eq!(e.repair.probes, u64::from(sent.iter().sum::<u32>()));
+        for node in 0..n {
+            let dead = confirmed.contains(&node);
+            let i = node as usize;
+            assert!(sent[i] <= 1, "node {node} sent {} probes", sent[i]);
+            assert!(!dead || sent[i] == 0, "confirmed node {node} probed");
+            assert_eq!(probed[i], !dead, "node {node}");
+        }
+    }
+
+    #[test]
     fn partition_grace_window_suppresses_false_suspicion() {
-        // A 15 ms cut severs node 5 from its prober. Without the grace
-        // shield the detector would raise (and then have to exonerate) a
-        // suspicion; with it the silence is attributed to the active cut
-        // and no epoch ever commits.
+        // A 15 ms cut severs node 5 from both its ring neighbours: from
+        // its prober, node 6, and from node 4, the peer it probes itself
+        // (a probe that lands is evidence that its sender lives). Without
+        // the grace shield the detector would raise (and then have to
+        // exonerate) a suspicion; with it the silence is attributed to the
+        // active cut and no epoch ever commits.
         let mut cfg = small_cfg(23, TopologyKind::Mfcg);
         cfg.procs_per_node = 1;
         cfg.membership = crate::config::MembershipConfig::on();
         let plan = FaultPlan::new().partition(
             SimTime::ZERO,
             SimTime::from_millis(15),
-            vec![(0, 5), (5, 0)],
+            vec![(6, 5), (5, 6), (4, 5), (5, 4)],
         );
         let report = run_all_faulted(cfg, &plan, |r| {
             if r == Rank(3) {

@@ -578,7 +578,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                     cfg.num_nodes()
                 ));
             }
-            let o = vt_apps::faults::run(&cfg);
+            let o = vt_apps::faults::try_run(&cfg).map_err(|e| e.to_string())?;
             let mut out = format!(
                 "forwarder kill on {} ({} procs, node{} dead at {} us):\n\
                  healthy {:.1} us -> faulted {:.1} us ({:.2}x), availability {:.3}\n\
@@ -1383,6 +1383,21 @@ mod tests {
         let out = run_command("topo", &s(&["--topology", "mfcg", "--nodes", "97"])).unwrap();
         assert!(out.contains("deadlock-free: true"));
         assert!(out.contains("97 nodes"));
+    }
+
+    #[test]
+    fn faults_command_reports_a_refused_configuration() {
+        // CFCG over 29 nodes loses node 24, the sole in-slice forwarder
+        // toward node 28: without membership the pre-flight refuses it,
+        // and the command fails with the analyzer's report.
+        let err = run_command(
+            "faults",
+            &s(&["--topology", "cfcg", "--procs", "29", "--ppn", "1"]),
+        )
+        .unwrap_err();
+        assert!(err.contains("pre-flight verification failed"), "{err}");
+        assert!(err.contains("[FAIL] totality"), "{err}");
+        assert!(err.contains("NOT CERTIFIED"), "{err}");
     }
 
     #[test]
