@@ -457,71 +457,86 @@ impl RuntimeConfig {
     /// # Panics
     /// Panics on zero counts or a topology that cannot cover the node count.
     pub fn validate(&self) {
-        assert!(self.n_procs >= 1, "need at least one process");
-        assert!(
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
+    }
+
+    /// Checks internal consistency without panicking, so a front end can
+    /// reject a bad configuration as an input error.
+    ///
+    /// # Errors
+    /// Names the first inconsistency [`validate`](Self::validate) would
+    /// panic on.
+    pub fn check(&self) -> Result<(), String> {
+        let need = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
+        need(self.n_procs >= 1, "need at least one process")?;
+        need(
             self.procs_per_node >= 1,
-            "need at least one process per node"
-        );
-        assert!(
+            "need at least one process per node",
+        )?;
+        need(
             self.buffers_per_proc >= 1,
-            "need at least one buffer credit"
-        );
-        assert!(
-            self.topology.supports(self.num_nodes()),
-            "{} does not support {} nodes",
-            self.topology.name(),
-            self.num_nodes()
-        );
-        assert!(
+            "need at least one buffer credit",
+        )?;
+        if !self.topology.supports(self.num_nodes()) {
+            return Err(format!(
+                "{} does not support {} nodes",
+                self.topology.name(),
+                self.num_nodes()
+            ));
+        }
+        need(
             self.retry.timeout > SimTime::ZERO,
-            "retry timeout must be positive"
-        );
-        assert!(self.retry.backoff >= 1, "backoff multiplier must be >= 1");
+            "retry timeout must be positive",
+        )?;
+        need(self.retry.backoff >= 1, "backoff multiplier must be >= 1")?;
         if self.membership.enabled {
-            assert!(
+            need(
                 self.membership.heartbeat_period > SimTime::ZERO,
-                "heartbeat period must be positive"
-            );
-            assert!(
+                "heartbeat period must be positive",
+            )?;
+            need(
                 self.membership.phi_threshold > 0.0,
-                "phi threshold must be positive"
-            );
+                "phi threshold must be positive",
+            )?;
         }
         if self.serve.enabled {
-            self.serve.arrivals.validate();
-            assert!(
+            self.serve.arrivals.check()?;
+            need(
                 self.serve.horizon > SimTime::ZERO,
-                "serve horizon must be positive"
-            );
-            assert!(
+                "serve horizon must be positive",
+            )?;
+            need(
                 self.serve.queue_cap >= 1,
-                "admission queue cap must be at least 1"
-            );
-            assert!(
+                "admission queue cap must be at least 1",
+            )?;
+            need(
                 self.serve.tick > SimTime::ZERO,
-                "serve tick must be positive"
-            );
-            assert!(
-                self.serve.hot_rank < self.n_procs,
-                "hot rank {} out of range for {} procs",
-                self.serve.hot_rank,
-                self.n_procs
-            );
-            assert!(
+                "serve tick must be positive",
+            )?;
+            if self.serve.hot_rank >= self.n_procs {
+                return Err(format!(
+                    "hot rank {} out of range for {} procs",
+                    self.serve.hot_rank, self.n_procs
+                ));
+            }
+            need(
                 self.serve.guard_threshold > 0.0 && self.serve.guard_threshold <= 1.0,
-                "guard threshold must be in (0, 1]"
-            );
+                "guard threshold must be in (0, 1]",
+            )?;
             if self.serve.load_repack {
-                assert!(
+                need(
                     self.serve.skew_threshold > 1.0,
-                    "skew threshold must exceed 1"
-                );
-                assert!(
+                    "skew threshold must exceed 1",
+                )?;
+                need(
                     self.serve.skew_ticks >= 1,
-                    "need at least one skewed tick to trigger a re-pack"
-                );
+                    "need at least one skewed tick to trigger a re-pack",
+                )?;
             }
         }
+        Ok(())
     }
 }
 

@@ -92,6 +92,14 @@ fn bench_stream_table() {
         src = (src + 1) % 64;
         black_box(t.touch(black_box(src)));
     });
+    // The uniform pattern: 4 096 sources spread over a 262 144-node id
+    // space, so nearly every touch misses and evicts through the hash.
+    let mut t = StreamTable::new(96);
+    let mut i = 0u32;
+    bench("stream_table/touch-wide-96", || {
+        i = (i + 1) % 4_096;
+        black_box(t.touch(black_box(i * 64 + i % 61)));
+    });
 }
 
 fn bench_credits() {

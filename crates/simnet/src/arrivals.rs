@@ -182,20 +182,26 @@ impl ArrivalProcess {
 
     /// Panics unless the parameters describe a usable process.
     pub fn validate(&self) {
-        assert!(
-            self.rate_per_sec > 0.0 && self.rate_per_sec.is_finite(),
-            "arrival rate must be positive and finite"
-        );
-        assert!(
-            self.peak >= 1.0 && self.peak.is_finite(),
-            "peak multiplier must be >= 1"
-        );
-        if self.kind != ArrivalKind::Steady {
-            assert!(
-                self.period > SimTime::ZERO,
-                "diurnal period / spike start must be positive"
-            );
+        if let Err(why) = self.check() {
+            panic!("{why}");
         }
+    }
+
+    /// Checks that the parameters describe a usable process.
+    ///
+    /// # Errors
+    /// Names the first unusable parameter.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.rate_per_sec > 0.0 && self.rate_per_sec.is_finite()) {
+            return Err("arrival rate must be positive and finite".to_string());
+        }
+        if !(self.peak >= 1.0 && self.peak.is_finite()) {
+            return Err("peak multiplier must be >= 1".to_string());
+        }
+        if self.kind != ArrivalKind::Steady && self.period == SimTime::ZERO {
+            return Err("diurnal period / spike start must be positive".to_string());
+        }
+        Ok(())
     }
 }
 

@@ -29,21 +29,30 @@ struct StreamNode {
 /// A least-recently-used set of message-stream sources with bounded
 /// capacity.
 ///
-/// Implemented as a slab-backed doubly-linked recency list with a
-/// direct-indexed source lookup, so a `touch` is O(1) instead of an O(cap)
-/// scan — the hot-spot receiver touches this table on every one of its
-/// thousands of arrivals. Semantics are exactly the classic LRU the linear
-/// version had: a hit moves the source to most-recent, a miss evicts the
-/// least-recent entry when full. The lookup array grows lazily to the
-/// largest source id that has ever touched this NIC (sources are node ids,
-/// so it stays a few KiB even at Jaguar scale).
+/// Implemented as a slab-backed doubly-linked recency list with a hashed
+/// source lookup, so a `touch` is O(1) instead of an O(cap) scan — the
+/// hot-spot receiver touches this table on every one of its thousands of
+/// arrivals. Semantics are exactly the classic LRU the linear version had:
+/// a hit moves the source to most-recent, a miss evicts the least-recent
+/// entry when full.
+///
+/// The lookup is an open-addressed table of `(2 × cap).next_power_of_two()`
+/// slab indices, probed linearly from a multiplicative hash of the source
+/// id and kept tombstone-free by backward-shift deletion. Its size depends
+/// only on the capacity — 1 KiB at the default 96 contexts — never on the
+/// node count or on how large a source id is, so per-node state stays
+/// O(contexts) at any machine size. Slots and slab are allocated on the
+/// first touch: a NIC that never receives allocates nothing.
 #[derive(Clone, Debug)]
 pub struct StreamTable {
     cap: usize,
-    /// Slab of resident contexts; `index[src]` is the slab slot of `src`,
-    /// or [`NIL`] when not resident.
+    /// Slab of resident contexts, at most `cap` long.
     nodes: Vec<StreamNode>,
-    index: Vec<u32>,
+    /// Open-addressed lookup: each slot holds the slab index of a resident
+    /// source, or [`NIL`] when empty. At most half full.
+    slots: Vec<u32>,
+    /// `32 - log2(slots.len())`: turns the hash's high bits into a slot.
+    shift: u32,
     /// Least recent at `head`, most recent at `tail`.
     head: u32,
     tail: u32,
@@ -55,11 +64,60 @@ impl StreamTable {
         let cap = cap.max(1);
         StreamTable {
             cap,
-            nodes: Vec::with_capacity(cap),
-            index: Vec::new(),
+            nodes: Vec::new(),
+            slots: Vec::new(),
+            shift: 32 - (2 * cap).next_power_of_two().trailing_zeros(),
             head: NIL,
             tail: NIL,
         }
+    }
+
+    /// The slot where the probe sequence for `src` starts (Fibonacci
+    /// hashing: the top bits of `src × 2³²/φ`).
+    fn home(&self, src: u32) -> usize {
+        (src.wrapping_mul(0x9E37_79B9) >> self.shift) as usize
+    }
+
+    /// The slot holding `src`, or the empty slot ending its probe sequence.
+    fn find(&self, src: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let home = self.home(src);
+        let mut at = home;
+        loop {
+            let i = self.slots[at];
+            if i == NIL || self.nodes[i as usize].src == src {
+                return at;
+            }
+            at = (at + 1) & mask;
+            debug_assert_ne!(at, home, "stream table has no empty slot");
+        }
+    }
+
+    /// Empties slot `at` and shifts later members of its probe cluster
+    /// back over the hole, so every lookup still ends at the first empty
+    /// slot after its home and no tombstone is ever needed. Returns the
+    /// one slot that became empty.
+    fn remove_slot(&mut self, mut at: usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let start = at;
+        let mut next = (at + 1) & mask;
+        loop {
+            debug_assert_ne!(next, start, "stream table has no empty slot");
+            let i = self.slots[next];
+            if i == NIL {
+                break;
+            }
+            // The entry may fill the hole unless its home lies cyclically
+            // in (hole, next]: moving it before its home would hide it.
+            let home = self.home(self.nodes[i as usize].src);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(at) & mask {
+                self.slots[at] = i;
+                at = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[at] = NIL;
+        at
     }
 
     /// Detaches slab node `i` from the recency list.
@@ -97,11 +155,12 @@ impl StreamTable {
     /// `false` when the source had to be (re-)established, evicting the
     /// least recently used entry if the table is full.
     pub fn touch(&mut self, src: u32) -> bool {
-        let s = src as usize;
-        if s >= self.index.len() {
-            self.index.resize(s + 1, NIL);
+        if self.slots.is_empty() {
+            self.slots = vec![NIL; 1 << (32 - self.shift)];
+            self.nodes.reserve_exact(self.cap);
         }
-        let i = self.index[s];
+        let mut at = self.find(src);
+        let i = self.slots[at];
         if i != NIL {
             if self.tail != i {
                 self.unlink(i);
@@ -109,13 +168,20 @@ impl StreamTable {
             }
             return true;
         }
-        let slot = if self.nodes.len() == self.cap {
+        let slab = if self.nodes.len() == self.cap {
             // Evict the least recently used context and reuse its slab slot.
             let victim = self.head;
             self.unlink(victim);
             let old = self.nodes[victim as usize].src;
-            self.index[old as usize] = NIL;
+            let hole = self.remove_slot(self.find(old));
             self.nodes[victim as usize].src = src;
+            // `src`'s probe now ends at the new hole if that lies on its
+            // path before `at`; every other slot kept its occupancy.
+            let mask = self.slots.len() - 1;
+            let home = self.home(src);
+            if hole.wrapping_sub(home) & mask < at.wrapping_sub(home) & mask {
+                at = hole;
+            }
             victim
         } else {
             self.nodes.push(StreamNode {
@@ -125,8 +191,8 @@ impl StreamTable {
             });
             (self.nodes.len() - 1) as u32
         };
-        self.push_tail(slot);
-        self.index[s] = slot;
+        self.push_tail(slab);
+        self.slots[at] = slab;
         false
     }
 
@@ -328,20 +394,111 @@ mod tests {
             } else {
                 (x % 20) as u32
             };
-            let expected = if let Some(pos) = reference.iter().position(|&e| e == src) {
-                reference.remove(pos);
-                reference.push(src);
-                true
-            } else {
-                if reference.len() == 8 {
-                    reference.remove(0);
-                }
-                reference.push(src);
-                false
-            };
+            let expected = reference_touch(&mut reference, 8, src);
             assert_eq!(table.touch(src), expected, "step {step}, src {src}");
             assert_eq!(table.len(), reference.len());
+            assert_consistent(&table);
         }
+    }
+
+    /// The obvious `Vec`-based LRU: most recent last.
+    fn reference_touch(reference: &mut Vec<u32>, cap: usize, src: u32) -> bool {
+        if let Some(pos) = reference.iter().position(|&e| e == src) {
+            reference.remove(pos);
+            reference.push(src);
+            true
+        } else {
+            if reference.len() == cap {
+                reference.remove(0);
+            }
+            reference.push(src);
+            false
+        }
+    }
+
+    /// Every resident source is reachable from its home slot and every
+    /// occupied slot belongs to exactly one resident. Returns whether some
+    /// probe sequence wraps past the end of the table.
+    fn assert_consistent(t: &StreamTable) -> bool {
+        let occupied = t.slots.iter().filter(|&&i| i != NIL).count();
+        assert_eq!(occupied, t.len());
+        let mut wrapped = false;
+        for (at, &i) in t.slots.iter().enumerate() {
+            if i != NIL {
+                let src = t.nodes[i as usize].src;
+                assert_eq!(t.find(src), at, "src {src} unreachable");
+                wrapped |= t.home(src) > at;
+            }
+        }
+        wrapped
+    }
+
+    #[test]
+    fn wide_ids_match_the_linear_reference() {
+        // Node ids up to 262,144 (a 1M-proc machine at 4 ppn), a hot set
+        // that mostly hits, and ids that all hash to the last two slots so
+        // probe clusters wrap around the end of the table and eviction's
+        // backward shift has to carry entries across it.
+        const MAX_ID: u64 = 262_144;
+        for cap in [1usize, 2, 96, 256] {
+            let mut table = StreamTable::new(cap);
+            table.touch(0);
+            let last = table.slots.len() - 1;
+            let colliders: Vec<u32> = (0..=MAX_ID as u32)
+                .filter(|&id| table.home(id) + 1 >= last)
+                .take(4 * cap + 4)
+                .collect();
+            let mut table = StreamTable::new(cap);
+            let mut reference: Vec<u32> = Vec::new();
+            let mut wrapped = false;
+            let mut x: u64 = 0x9E37_79B9_7F4A_7C15 ^ cap as u64;
+            for step in 0..200_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let src = match step % 3 {
+                    0 => colliders[(x % colliders.len() as u64) as usize],
+                    1 => ((x % (cap as u64 + cap as u64 / 2 + 1)) * 1_021 % (MAX_ID + 1)) as u32,
+                    _ => (x % (MAX_ID + 1)) as u32,
+                };
+                let expected = reference_touch(&mut reference, cap, src);
+                assert_eq!(
+                    table.touch(src),
+                    expected,
+                    "cap {cap}, step {step}, src {src}"
+                );
+                assert_eq!(table.len(), reference.len());
+                if step % 61 == 0 {
+                    wrapped |= assert_consistent(&table);
+                }
+            }
+            // One resident in two slots always sits at its home.
+            assert!(wrapped || cap == 1, "cap {cap}: no probe sequence wrapped");
+        }
+    }
+
+    #[test]
+    fn lookup_size_depends_only_on_capacity() {
+        for cap in [1usize, 96, 256] {
+            let mut t = StreamTable::new(cap);
+            assert!(
+                t.slots.is_empty() && t.nodes.capacity() == 0,
+                "allocated before use"
+            );
+            let slots = (2 * cap).next_power_of_two();
+            for src in (0..262_144u32).chain([u32::MAX]) {
+                assert!(!t.touch(src));
+                assert_eq!(t.slots.len(), slots);
+                assert_eq!(t.nodes.capacity(), cap);
+                if src % 1_024 == 0 {
+                    assert_consistent(&t);
+                }
+            }
+            assert!(t.touch(u32::MAX));
+            assert_eq!(t.len(), cap);
+            assert_consistent(&t);
+        }
+        assert_eq!(StreamTable::new(96).shift, 24); // 256 slots, 1 KiB
     }
 
     #[test]

@@ -117,8 +117,8 @@ pub fn parse_scenario(s: &str) -> Result<Scenario, String> {
         "20" => Ok(Scenario::pct20()),
         other => other
             .strip_prefix("1/")
-            .and_then(|n| n.parse().ok())
-            .map(|every_nth| Scenario::Contention { every_nth })
+            .and_then(|n| n.parse::<NonZeroU32>().ok())
+            .map(|n| Scenario::Contention { every_nth: n.get() })
             .ok_or_else(|| format!("unknown scenario '{other}' (none|11|20|1/N)")),
     }
 }
@@ -537,6 +537,11 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             let n_procs = flags.take_count("procs", 256)?;
             let skew: f64 = flags.take("skew", 0.0)?;
             flags.finish()?;
+            if !(0.0..=1.0).contains(&skew) {
+                return Err(format!(
+                    "invalid value for --skew: '{skew}' (a fraction in [0, 1])"
+                ));
+            }
             let o = vt_apps::gups::run(&GupsConfig::skewed(n_procs, topology, skew));
             format!(
                 "GUPS {} procs / {} / skew {:.0}%: {:.1} us per update, {:.4} MUPS\n",
@@ -757,6 +762,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                     )),
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
+            cfg.runtime_config().check()?;
             let o = vt_apps::serve::run(&cfg);
             let ok = o.exactly_once && o.credit_leaks == 0;
             let points = if factors.is_empty() {
@@ -1371,6 +1377,7 @@ mod tests {
             Scenario::Contention { every_nth: 7 }
         );
         assert!(parse_scenario("all").is_err());
+        assert!(parse_scenario("1/0").is_err());
         assert_eq!(parse_op("putv").unwrap(), OpSpec::vector_put());
         assert!(parse_op("cas").is_err());
     }
@@ -1712,13 +1719,62 @@ mod tests {
             ("serve", &["--preset", "steady", "--curve", "-1"], "--curve"),
         ];
         for (cmd, args, flag) in cases {
-            let outcome = std::panic::catch_unwind(|| run_command(cmd, &s(args)));
-            let Ok(result) = outcome else {
-                panic!("vtsim {cmd} {args:?} panicked");
-            };
-            let err = result.unwrap_err();
-            assert!(err.contains(flag), "vtsim {cmd} {args:?}: {err}");
+            assert_refused(cmd, args, flag);
         }
+    }
+
+    /// Runs `vtsim cmd args` and checks it is refused with an error
+    /// naming `why`, not a panic.
+    fn assert_refused(cmd: &str, args: &[&str], why: &str) {
+        let outcome = std::panic::catch_unwind(|| run_command(cmd, &s(args)));
+        let Ok(result) = outcome else {
+            panic!("vtsim {cmd} {args:?} panicked");
+        };
+        let err = result.unwrap_err();
+        assert!(err.contains(why), "vtsim {cmd} {args:?}: {err}");
+    }
+
+    #[test]
+    fn serve_refuses_a_zero_rate() {
+        assert_refused("serve", &["--rate", "0"], "arrival rate must be positive");
+    }
+
+    #[test]
+    fn serve_refuses_a_zero_peak() {
+        assert_refused("serve", &["--peak", "0"], "peak multiplier must be >= 1");
+    }
+
+    #[test]
+    fn serve_refuses_a_zero_horizon() {
+        assert_refused("serve", &["--horizon-us", "0"], "horizon must be positive");
+    }
+
+    #[test]
+    fn serve_refuses_a_zero_queue_cap() {
+        assert_refused(
+            "serve",
+            &["--queue-cap", "0"],
+            "queue cap must be at least 1",
+        );
+    }
+
+    #[test]
+    fn gups_refuses_a_skew_above_one() {
+        assert_refused("gups", &["--procs", "16", "--skew", "5"], "--skew");
+    }
+
+    #[test]
+    fn gups_refuses_a_negative_skew() {
+        assert_refused("gups", &["--procs", "16", "--skew", "-1"], "--skew");
+    }
+
+    #[test]
+    fn contention_refuses_a_one_in_zero_scenario() {
+        assert_refused(
+            "contention",
+            &["--scenario", "1/0"],
+            "unknown scenario '1/0'",
+        );
     }
 
     #[test]
