@@ -58,6 +58,8 @@ impl CreditKey {
 #[derive(Debug)]
 pub struct CreditManager {
     cap: u32,
+    /// Credits in flight per account. An account is dropped when its count
+    /// returns to zero, so this holds only accounts with credits out.
     in_flight: FxHashMap<CreditKey, u32>,
     waiters: FxHashMap<CreditKey, std::collections::VecDeque<Waiter>>,
 }
@@ -118,16 +120,16 @@ impl CreditManager {
 
     /// Returns one credit to the account. If waiters are queued on it, the
     /// credit is transferred to the oldest one immediately and that waiter
-    /// is returned so the engine can resume it.
+    /// is returned so the engine can resume it. An account whose last
+    /// credit comes home is dropped.
     ///
     /// # Panics
-    /// Panics if the account has no credit in flight (double release).
+    /// Panics if the account has no credit in flight (a double release, or
+    /// a release without an acquire).
     pub fn release(&mut self, key: CreditKey) -> Option<Waiter> {
-        let used = self
-            .in_flight
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("release without acquire on {key:?}"));
-        assert!(*used > 0, "double release on {key:?}");
+        let Some(used) = self.in_flight.get_mut(&key) else {
+            panic!("double release on {key:?}: no credit in flight");
+        };
         if let Some(queue) = self.waiters.get_mut(&key) {
             if let Some(waiter) = queue.pop_front() {
                 if queue.is_empty() {
@@ -139,6 +141,9 @@ impl CreditManager {
             self.waiters.remove(&key);
         }
         *used -= 1;
+        if *used == 0 {
+            self.in_flight.remove(&key);
+        }
         None
     }
 
@@ -181,12 +186,12 @@ impl CreditManager {
         self.in_flight.values().map(|&v| u64::from(v)).sum()
     }
 
-    /// Every account with its current in-flight count, including zeroed
-    /// accounts that were touched earlier in the run, in ascending
-    /// `CreditKey` order. Introspection hook for end-of-run credit-leak
-    /// accounting (`Report::credit_leaks`) and the `vt-analyze` model
-    /// checker's zero-leak property — sorted so the hook never leaks the
-    /// hash table's insertion-history order to a consumer (vt-lint D1).
+    /// Every account with credits in flight and its count, in ascending
+    /// `CreditKey` order; no account appears with a zero count.
+    /// Introspection hook for end-of-run credit-leak accounting
+    /// (`Report::credit_leaks`) and the `vt-analyze` model checker's
+    /// zero-leak property — sorted so the hook never leaks the hash
+    /// table's insertion-history order to a consumer (vt-lint D1).
     pub fn accounts(&self) -> Vec<(CreditKey, u32)> {
         let mut v: Vec<(CreditKey, u32)> = self.in_flight.iter().map(|(&k, &n)| (k, n)).collect();
         v.sort_unstable_by_key(|&(k, _)| k);
@@ -342,5 +347,119 @@ mod tests {
         assert!(!cm.try_acquire(k));
         assert_eq!(cm.release(k), None);
         assert!(cm.try_acquire(k));
+    }
+
+    /// The manager before accounts were dropped at zero: every account ever
+    /// touched keeps its counter. The oracle for
+    /// `matches_a_manager_that_keeps_every_account`.
+    #[derive(Default)]
+    struct KeepEvery {
+        in_flight: std::collections::BTreeMap<CreditKey, u32>,
+        waiters: std::collections::BTreeMap<CreditKey, std::collections::VecDeque<Waiter>>,
+    }
+
+    impl KeepEvery {
+        fn try_acquire(&mut self, key: CreditKey, cap: u32) -> bool {
+            let used = self.in_flight.entry(key).or_insert(0);
+            let ok = *used < cap;
+            *used += u32::from(ok);
+            ok
+        }
+
+        fn release(&mut self, key: CreditKey) -> Option<Waiter> {
+            let waiter = self.waiters.get_mut(&key).and_then(|q| q.pop_front());
+            if self.waiters.get(&key).is_some_and(|q| q.is_empty()) {
+                self.waiters.remove(&key);
+            }
+            if waiter.is_none() {
+                *self.in_flight.get_mut(&key).unwrap() -= 1;
+            }
+            waiter
+        }
+
+        fn blocked(&self) -> Vec<(CreditKey, Waiter)> {
+            self.waiters
+                .iter()
+                .flat_map(|(&k, q)| q.iter().map(move |&w| (k, w)))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn matches_a_manager_that_keeps_every_account() {
+        let keys: Vec<CreditKey> = [Sender::Proc(Rank(0)), Sender::Proc(Rank(1)), Sender::Cht(2)]
+            .into_iter()
+            .flat_map(|sender| {
+                [(0, 1), (1, 2)].into_iter().flat_map(move |edge| {
+                    (0..2).map(move |class| CreditKey {
+                        sender,
+                        edge,
+                        class,
+                    })
+                })
+            })
+            .collect();
+        for seed in 1..=64u64 {
+            let cap = 1 + (seed % 3) as u32;
+            let mut cm = CreditManager::new(cap);
+            let mut oracle = KeepEvery::default();
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut req = 0;
+            for step in 0..2_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let k = keys[(x >> 8) as usize % keys.len()];
+                let ctx = format!("seed {seed}, step {step}, {k:?}");
+                match x % 8 {
+                    0..=2 => assert_eq!(cm.try_acquire(k), oracle.try_acquire(k, cap), "{ctx}"),
+                    3 | 4 => {
+                        req += 1;
+                        let w = Waiter::Fwd { node: 2, req };
+                        cm.wait(k, w);
+                        oracle.waiters.entry(k).or_default().push_back(w);
+                    }
+                    5 | 6 => {
+                        if cm.in_flight(k) > 0 {
+                            assert_eq!(cm.release(k), oracle.release(k), "{ctx}");
+                        }
+                    }
+                    _ => {
+                        let odd = |w: &Waiter| matches!(w, Waiter::Fwd { req, .. } if req % 2 == 1);
+                        let mut want = Vec::new();
+                        if let Some(q) = oracle.waiters.get_mut(&k) {
+                            want = q.iter().copied().filter(odd).collect();
+                            q.retain(|w| !odd(w));
+                            if q.is_empty() {
+                                oracle.waiters.remove(&k);
+                            }
+                        }
+                        assert_eq!(cm.take_waiters(k, odd), want, "{ctx}");
+                    }
+                }
+                for &k in &keys {
+                    assert_eq!(
+                        cm.in_flight(k),
+                        oracle.in_flight.get(&k).copied().unwrap_or(0),
+                        "seed {seed}, step {step}, {k:?}"
+                    );
+                }
+                let total: u64 = oracle.in_flight.values().map(|&n| u64::from(n)).sum();
+                assert_eq!(cm.total_in_flight(), total, "{ctx}");
+                assert_eq!(cm.blocked(), oracle.blocked(), "{ctx}");
+                let live: Vec<(CreditKey, u32)> = oracle
+                    .in_flight
+                    .iter()
+                    .filter(|&(_, &n)| n > 0)
+                    .map(|(&k, &n)| (k, n))
+                    .collect();
+                let accounts = cm.accounts();
+                assert!(
+                    accounts.iter().all(|&(_, n)| n > 0),
+                    "{ctx}: zero account listed"
+                );
+                assert_eq!(accounts, live, "{ctx}");
+            }
+        }
     }
 }

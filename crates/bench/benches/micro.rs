@@ -92,13 +92,22 @@ fn bench_stream_table() {
         src = (src + 1) % 64;
         black_box(t.touch(black_box(src)));
     });
-    // The uniform pattern: 4 096 sources spread over a 262 144-node id
-    // space, so nearly every touch misses and evicts through the hash.
+    // 4 096 sources spread over a 262 144-node id space, so nearly every
+    // touch misses and evicts the least recent context.
     let mut t = StreamTable::new(96);
     let mut i = 0u32;
     bench("stream_table/touch-wide-96", || {
         i = (i + 1) % 4_096;
         black_box(t.touch(black_box(i * 64 + i % 61)));
+    });
+    // The in-situ pattern: 4 096 NICs' tables touched round-robin from
+    // pseudo-random sources, so each touch finds its table cold in cache.
+    let mut tables: Vec<StreamTable> = (0..4_096).map(|_| StreamTable::new(96)).collect();
+    let (mut nic, mut x) = (0usize, 1u64);
+    bench("stream_table/touch-cold-4096x96", || {
+        nic = (nic + 1) % tables.len();
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        black_box(tables[nic].touch(black_box((x >> 52) as u32)));
     });
 }
 
@@ -110,6 +119,20 @@ fn bench_credits() {
         class: 0,
     };
     bench("credits/acquire-release", || {
+        assert!(cm.try_acquire(black_box(key)));
+        cm.release(key);
+    });
+    // The in-situ pattern: each pair touches a different one of ~300 000
+    // (sender, edge) accounts, as the uniform 16K-proc mix does.
+    let mut cm = CreditManager::new(4);
+    let mut i = 0u32;
+    bench("credits/acquire-release-spread", || {
+        i = (i + 7_919) % 300_000;
+        let key = CreditKey {
+            sender: Sender::Proc(Rank(i % 16_384)),
+            edge: (i / 16_384, i % 4_096),
+            class: 0,
+        };
         assert!(cm.try_acquire(black_box(key)));
         cm.release(key);
     });

@@ -217,9 +217,11 @@ impl<E> EventQueue<E> {
         self.base = head.at.as_nanos() / WIDTH;
         self.cur = 0;
         self.drain = NO_BUCKET;
-        let end = (self.base + RING as u64) * WIDTH;
+        // The horizon in buckets, not nanoseconds: `(base + RING) * WIDTH`
+        // would wrap for a ring anchored within 0.5 ms of `u64::MAX` ns.
+        let end = self.base + RING as u64;
         while let Some(head) = self.overflow.peek() {
-            if head.at.as_nanos() >= end {
+            if head.at.as_nanos() / WIDTH >= end {
                 break;
             }
             // Pop order is (time, seq) ascending; the bucket re-sorts on
@@ -479,6 +481,41 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn events_at_the_end_of_time_pop_in_order() {
+        // A ring anchored within one horizon of `u64::MAX` ns must still
+        // migrate and pop its events, in the oracle's order.
+        let end = u64::MAX;
+        let mut a = EventQueue::new();
+        let mut b = BaselineEventQueue::new();
+        let times = [
+            end,
+            end - 1,
+            end - WIDTH,
+            end,
+            5,
+            end - RING as u64 * WIDTH,
+            end - 1,
+        ];
+        for (i, &t) in times.iter().enumerate() {
+            a.schedule(SimTime::from_nanos(t), i);
+            b.schedule(SimTime::from_nanos(t), i);
+        }
+        loop {
+            let (x, y) = (a.pop(), b.pop());
+            assert_eq!(x, y);
+            if x.is_none() {
+                break;
+            }
+            if x.map(|(at, _)| at.as_nanos()) == Some(end - 1) {
+                a.schedule(SimTime::from_nanos(end), 99);
+                b.schedule(SimTime::from_nanos(end), 99);
+            }
+        }
+        assert_eq!(a.now(), SimTime::from_nanos(end));
+        assert_eq!(a.processed(), b.processed());
     }
 
     #[test]

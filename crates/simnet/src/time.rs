@@ -25,21 +25,42 @@ impl SimTime {
     }
 
     /// Constructs from microseconds.
+    ///
+    /// # Panics
+    /// Panics with "simulated time overflowed u64 nanoseconds", as `Add`
+    /// does, when the span exceeds `u64::MAX` ns (~585 years).
     #[inline]
     pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
+        SimTime::scaled(us, 1_000)
     }
 
     /// Constructs from milliseconds.
+    ///
+    /// # Panics
+    /// Panics with "simulated time overflowed u64 nanoseconds", as `Add`
+    /// does, when the span exceeds `u64::MAX` ns (~585 years).
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
+        SimTime::scaled(ms, 1_000_000)
     }
 
     /// Constructs from seconds.
+    ///
+    /// # Panics
+    /// Panics with "simulated time overflowed u64 nanoseconds", as `Add`
+    /// does, when the span exceeds `u64::MAX` ns (~585 years).
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
+        SimTime::scaled(s, 1_000_000_000)
+    }
+
+    /// `n × unit` nanoseconds, panicking instead of wrapping on overflow.
+    #[inline]
+    const fn scaled(n: u64, unit: u64) -> Self {
+        match n.checked_mul(unit) {
+            Some(ns) => SimTime(ns),
+            None => panic!("simulated time overflowed u64 nanoseconds"),
+        }
     }
 
     /// Constructs from a fractional microsecond count (rounded to the
@@ -195,6 +216,36 @@ mod tests {
     fn sum_accumulates() {
         let total: SimTime = (1..=4).map(SimTime::from_micros).sum();
         assert_eq!(total, SimTime::from_micros(10));
+    }
+
+    #[test]
+    fn constructors_reach_the_largest_exact_span() {
+        let max = u64::MAX;
+        for (t, unit) in [
+            (SimTime::from_micros(max / 1_000), 1_000),
+            (SimTime::from_millis(max / 1_000_000), 1_000_000),
+            (SimTime::from_secs(max / 1_000_000_000), 1_000_000_000),
+        ] {
+            assert_eq!(t.as_nanos(), max / unit * unit);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed")]
+    fn from_micros_overflow_panics() {
+        let _ = SimTime::from_micros(u64::MAX / 1_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed")]
+    fn from_millis_overflow_panics() {
+        let _ = SimTime::from_millis(u64::MAX / 1_000_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed")]
+    fn from_secs_overflow_panics() {
+        let _ = SimTime::from_secs(u64::MAX);
     }
 
     #[test]

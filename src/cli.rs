@@ -19,6 +19,12 @@ use vt_apps::Table;
 use vt_armci::{CoalesceConfig, OpKind};
 use vt_core::{analyze, DependencyGraph, MemoryModel, RequestTree, TopologyKind, VirtualTopology};
 
+/// The largest value a microsecond flag (`--kill-at-us`, `--horizon-us`,
+/// `--retry-timeout-us`, `--tick-us`) accepts: one simulated hour, far
+/// beyond any run the simulator can finish and far below the ~585 years
+/// at which `u64` nanoseconds overflow.
+pub const MAX_FLAG_US: u64 = 3_600_000_000;
+
 /// A parsed `--key value` flag map.
 #[derive(Debug, Default)]
 pub struct Flags {
@@ -65,6 +71,18 @@ impl Flags {
                 .map(NonZeroU32::get)
                 .map_err(|_| format!("invalid value for --{key}: '{v}' (a positive integer)")),
         }
+    }
+
+    /// Takes a microsecond flag as simulated time, refusing values above
+    /// [`MAX_FLAG_US`] so no flag can push the clock near overflow.
+    pub fn take_micros(&mut self, key: &str, default_us: u64) -> Result<vt_armci::SimTime, String> {
+        let us: u64 = self.take(key, default_us)?;
+        if us > MAX_FLAG_US {
+            return Err(format!(
+                "invalid value for --{key}: '{us}' (at most {MAX_FLAG_US} us, one simulated hour)"
+            ));
+        }
+        Ok(vt_armci::SimTime::from_micros(us))
     }
 
     /// Takes the topology flag.
@@ -557,7 +575,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             let n_procs = flags.take_count("procs", 256)?;
             let ppn = flags.take_count("ppn", 4)?;
             let ops_per_rank: u32 = flags.take("ops", 8)?;
-            let kill_at_us: u64 = flags.take("kill-at-us", 300)?;
+            let kill_at = flags.take_micros("kill-at-us", 300)?;
             let membership = match flags.take("membership", "off".to_string())?.as_str() {
                 "on" => true,
                 "off" => false,
@@ -572,7 +590,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 n_procs,
                 ppn,
                 ops_per_rank,
-                kill_at: vt_armci::SimTime::from_micros(kill_at_us),
+                kill_at,
                 membership,
                 ..FaultScenarioConfig::paper(topology)
             };
@@ -593,7 +611,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 topology.name(),
                 n_procs,
                 o.victim,
-                kill_at_us,
+                kill_at.as_nanos() / 1_000,
                 o.healthy_seconds * 1e6,
                 o.exec_seconds * 1e6,
                 o.slowdown(),
@@ -633,7 +651,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 let victim: u32 = flags.take("victim", base.victim)?;
                 let ppn: u32 = flags.take("ppn", base.ppn)?;
                 let ops: u32 = flags.take("ops", base.ops_per_rank)?;
-                let kill_at_us: u64 = flags.take("kill-at-us", 50)?;
+                let kill_at = flags.take_micros("kill-at-us", 50)?;
                 if !topology.supports(nodes) {
                     return Err(format!(
                         "{} does not support {nodes} nodes",
@@ -649,13 +667,13 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                     ppn,
                     ops_per_rank: ops,
                     victim,
-                    kill_at: vt_armci::SimTime::from_micros(kill_at_us),
+                    kill_at,
                     ..base
                 }]
             } else {
                 let ppn: u32 = flags.take("ppn", 2)?;
                 let ops: u32 = flags.take("ops", 4)?;
-                let kill_at_us: u64 = flags.take("kill-at-us", 50)?;
+                let kill_at = flags.take_micros("kill-at-us", 50)?;
                 [
                     RepairScenarioConfig::mfcg_boundary(),
                     RepairScenarioConfig::cfcg_boundary(),
@@ -664,7 +682,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 .map(|base| RepairScenarioConfig {
                     ppn,
                     ops_per_rank: ops,
-                    kill_at: vt_armci::SimTime::from_micros(kill_at_us),
+                    kill_at,
                     ..base
                 })
                 .collect()
@@ -718,16 +736,13 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             cfg.ppn = flags.take("ppn", base.ppn)?;
             cfg.arrivals.rate_per_sec = flags.take("rate", base.arrivals.rate_per_sec)?;
             cfg.arrivals.peak = flags.take("peak", base.arrivals.peak)?;
-            let horizon_us: u64 = flags.take("horizon-us", base.horizon.as_nanos() / 1000)?;
-            cfg.horizon = vt_armci::SimTime::from_micros(horizon_us);
+            cfg.horizon = flags.take_micros("horizon-us", base.horizon.as_nanos() / 1000)?;
             cfg.queue_cap = flags.take("queue-cap", base.queue_cap)?;
             cfg.retry_budget = flags.take("retry-budget", base.retry_budget)?;
-            let retry_timeout_us: u64 =
-                flags.take("retry-timeout-us", base.retry_timeout.as_nanos() / 1000)?;
-            cfg.retry_timeout = vt_armci::SimTime::from_micros(retry_timeout_us);
+            cfg.retry_timeout =
+                flags.take_micros("retry-timeout-us", base.retry_timeout.as_nanos() / 1000)?;
             cfg.guard_threshold = flags.take("guard", base.guard_threshold)?;
-            let tick_us: u64 = flags.take("tick-us", base.tick.as_nanos() / 1000)?;
-            cfg.tick = vt_armci::SimTime::from_micros(tick_us);
+            cfg.tick = flags.take_micros("tick-us", base.tick.as_nanos() / 1000)?;
             cfg.load_repack = match flags
                 .take(
                     "load-repack",
@@ -1747,6 +1762,28 @@ mod tests {
     #[test]
     fn serve_refuses_a_zero_horizon() {
         assert_refused("serve", &["--horizon-us", "0"], "horizon must be positive");
+    }
+
+    #[test]
+    fn microsecond_flags_refuse_values_past_one_simulated_hour() {
+        let cap_plus_one = (MAX_FLAG_US + 1).to_string();
+        let max = u64::MAX.to_string();
+        for (cmd, flag) in [
+            ("faults", "--kill-at-us"),
+            ("repair", "--kill-at-us"),
+            ("serve", "--horizon-us"),
+            ("serve", "--retry-timeout-us"),
+            ("serve", "--tick-us"),
+        ] {
+            for value in [&cap_plus_one, &max] {
+                assert_refused(cmd, &[flag, value], "at most 3600000000 us");
+            }
+        }
+        assert_refused(
+            "repair",
+            &["--topology", "cfcg", "--kill-at-us", &max],
+            "at most 3600000000 us",
+        );
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! all three regimes of the calendar — zero (same-instant bursts), within
 //! one bucket width, across the ring, and far past it into the overflow
 //! heap — so bucket rotation, bitmap scans, and overflow migration are
-//! all crossed with tie-breaking.
+//! all crossed with tie-breaking. Half the cases start the clock within a
+//! few ring horizons of `u64::MAX` ns, where delays saturate at the end of
+//! time and the ring's horizon arithmetic must not wrap.
 
 use proptest::prelude::*;
 use vt_simnet::{BaselineEventQueue, EventQueue, SimTime};
@@ -30,17 +32,20 @@ struct InterleavingSpec {
     /// Out of 8: how often a schedule step bursts several events at the
     /// exact same instant.
     burst_weight: u8,
+    /// Start the clock near `u64::MAX` ns instead of at zero.
+    near_end: bool,
 }
 
 fn spec_strategy() -> impl Strategy<Value = InterleavingSpec> {
-    (any::<u64>(), 1u32..400, 1u8..7, 0u8..7).prop_map(|(seed, steps, pop_weight, burst_weight)| {
-        InterleavingSpec {
+    (any::<u64>(), 1u32..400, 1u8..7, 0u8..7, any::<bool>()).prop_map(
+        |(seed, steps, pop_weight, burst_weight, near_end)| InterleavingSpec {
             seed,
             steps,
             pop_weight,
             burst_weight,
-        }
-    })
+            near_end,
+        },
+    )
 }
 
 /// splitmix64: the expander behind the spec's op stream.
@@ -70,6 +75,13 @@ fn run_differential(spec: &InterleavingSpec) {
     let mut fast: EventQueue<u64> = EventQueue::new();
     let mut slow: BaselineEventQueue<u64> = BaselineEventQueue::new();
     let mut payload = 0u64;
+    if spec.near_end {
+        // Up to three ring horizons (4096 × 128 ns each) before the end.
+        let start = SimTime::from_nanos(u64::MAX - mix(&mut x) % (3 * 4096 * 128));
+        fast.schedule(start, payload);
+        slow.schedule(start, payload);
+        assert_eq!(fast.pop(), slow.pop());
+    }
 
     for _ in 0..spec.steps {
         let r = mix(&mut x);
@@ -81,7 +93,11 @@ fn run_differential(spec: &InterleavingSpec) {
             } else {
                 1
             };
-            let at = fast.now() + delay(mix(&mut x));
+            let at = SimTime::from_nanos(
+                fast.now()
+                    .as_nanos()
+                    .saturating_add(delay(mix(&mut x)).as_nanos()),
+            );
             for _ in 0..burst {
                 payload += 1;
                 fast.schedule(at, payload);
