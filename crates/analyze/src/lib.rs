@@ -400,7 +400,7 @@ mod tests {
         let mut cfg = AnalyzeConfig::new(TopologyKind::Mfcg, 9);
         cfg.model_check = true;
         let rep = analyze(&cfg).unwrap();
-        let json = rep.to_json();
+        let json = rep.json().finish();
         assert!(json.contains("\"certified\":true"), "{json}");
         assert!(json.contains("\"acyclicity\""));
         assert!(json.contains("\"model\""));

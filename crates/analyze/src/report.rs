@@ -1,27 +1,9 @@
-//! Rendering of analysis results: human text, hand-rolled JSON (the
-//! vendored serde shim provides no serialization), and Graphviz DOT for
-//! cycle counterexamples.
+//! Rendering of analysis results: human text, a JSON object built with
+//! [`vt_core::json`], and Graphviz DOT for cycle counterexamples.
 
 use crate::{AnalysisReport, CycleWitness};
 use std::fmt::Write as _;
-
-/// Minimal JSON string escaping for the fields we emit.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use vt_core::json::Object;
 
 impl CycleWitness {
     /// Number of `(channel, class)` vertices on the closed walk (the
@@ -68,55 +50,44 @@ impl CycleWitness {
 }
 
 impl AnalysisReport {
-    /// Machine-readable JSON document (hand-rolled: the workspace's serde
-    /// is a no-op shim).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"topology\":\"{}\",\"nodes\":{},\"procs_per_node\":{},\"coalescing\":{},\"dead\":{:?},\"certified\":{}",
-            json_escape(&self.topology),
-            self.nodes,
-            self.procs_per_node,
-            self.coalescing,
-            self.dead,
-            self.certified()
-        );
-        out.push_str(",\"checks\":[");
-        for (i, c) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"passed\":{},\"detail\":\"{}\"}}",
-                json_escape(&c.name),
-                c.passed,
-                json_escape(&c.detail)
-            );
-        }
-        out.push(']');
+    /// Machine-readable JSON object: the configuration, the verdict,
+    /// every check, and the counterexample and model-check result when
+    /// present.
+    pub fn json(&self) -> Object {
+        let checks: Vec<Object> = self
+            .checks
+            .iter()
+            .map(|c| {
+                Object::new()
+                    .field("name", &c.name)
+                    .field("passed", c.passed)
+                    .field("detail", &c.detail)
+            })
+            .collect();
+        let mut doc = Object::new()
+            .field("topology", &self.topology)
+            .field("nodes", self.nodes)
+            .field("procs_per_node", self.procs_per_node)
+            .field("coalescing", self.coalescing)
+            .field("dead", &self.dead)
+            .field("certified", self.certified())
+            .field("checks", checks);
         if let Some(w) = &self.counterexample {
-            let _ = write!(out, ",\"counterexample\":\"{}\"", json_escape(&w.label()));
+            doc = doc.field("counterexample", w.label());
         }
         if let Some(m) = &self.model {
-            let _ = write!(
-                out,
-                ",\"model\":{{\"states\":{},\"transitions\":{},\"quiescent\":{},\"sleep_skips\":{},\"passed\":{},\"violations\":[{}]}}",
-                m.states,
-                m.transitions,
-                m.quiescent,
-                m.sleep_skips,
-                m.passed(),
-                m.violations
-                    .iter()
-                    .map(|v| format!("\"{}\"", json_escape(v)))
-                    .collect::<Vec<_>>()
-                    .join(",")
+            doc = doc.field(
+                "model",
+                Object::new()
+                    .field("states", m.states)
+                    .field("transitions", m.transitions)
+                    .field("quiescent", m.quiescent)
+                    .field("sleep_skips", m.sleep_skips)
+                    .field("passed", m.passed())
+                    .field("violations", &m.violations),
             );
         }
-        out.push('}');
-        out
+        doc
     }
 
     /// Human-readable report.
@@ -175,12 +146,6 @@ impl AnalysisReport {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn witness_dot_contains_every_hop() {

@@ -28,8 +28,8 @@
 
 use serde::{Deserialize, Serialize};
 use vt_armci::{
-    Action, FaultPlan, MembershipConfig, Op, Rank, Report, RuntimeConfig, ScriptProgram, SimTime,
-    Simulation,
+    Action, FaultPlan, FaultStats, MembershipConfig, Op, Rank, RepairStats, Report, RuntimeConfig,
+    ScriptProgram, SimTime, Simulation,
 };
 use vt_core::TopologyKind;
 use vt_simnet::DetRng;
@@ -124,18 +124,11 @@ pub struct CellOutcome {
     pub corrupt_windows: u32,
     /// Completion time of the faulted run, seconds.
     pub exec_seconds: f64,
-    /// Retransmissions issued.
-    pub retries: u64,
-    /// Corrupt frames caught by the envelope checksum.
-    pub corrupt_detected: u64,
-    /// Membership epochs committed.
-    pub epoch_bumps: u64,
-    /// Rebooted nodes re-admitted by a grow-back epoch.
-    pub rejoins_committed: u64,
-    /// Partition windows that healed during the run.
-    pub partitions_healed: u64,
-    /// Suspicions suppressed by the partition grace window.
-    pub false_suspicions_suppressed: u64,
+    /// Fault-recovery counters of the cell's first run (all zero when the
+    /// run ended abnormally).
+    pub faults: FaultStats,
+    /// Membership / repair counters of the cell's first run (likewise).
+    pub repair: RepairStats,
     /// Invariant violations (empty = the cell passed every oracle).
     pub violations: Vec<String>,
     /// Stable digest of the report, for replay comparison.
@@ -382,17 +375,9 @@ pub fn run_cell(cell: &ChaosCell) -> CellOutcome {
     if d1 != d2 {
         violations.push("replay divergence: two runs of the cell differ".to_string());
     }
-    let (exec, retries, cd, eb, rj, ph, fss) = match &first {
-        Ok(r) => (
-            r.finish_time.as_secs_f64(),
-            r.faults.retries,
-            r.faults.corrupt_detected,
-            r.repair.epoch_bumps,
-            r.repair.rejoins_committed,
-            r.faults.partitions_healed,
-            r.repair.false_suspicions_suppressed,
-        ),
-        Err(_) => (0.0, 0, 0, 0, 0, 0, 0),
+    let (exec, faults, repair) = match &first {
+        Ok(r) => (r.finish_time.as_secs_f64(), r.faults, r.repair),
+        Err(_) => (0.0, FaultStats::default(), RepairStats::default()),
     };
     CellOutcome {
         idx: cell.idx,
@@ -404,12 +389,8 @@ pub fn run_cell(cell: &ChaosCell) -> CellOutcome {
         drop_windows: cell.plan.drop_windows.len() as u32,
         corrupt_windows: cell.plan.corrupt_windows.len() as u32,
         exec_seconds: exec,
-        retries,
-        corrupt_detected: cd,
-        epoch_bumps: eb,
-        rejoins_committed: rj,
-        partitions_healed: ph,
-        false_suspicions_suppressed: fss,
+        faults,
+        repair,
         violations,
         digest: d1,
     }

@@ -18,8 +18,10 @@ use crate::report::Series;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::sync::Mutex;
+use vt_armci::cht::ChtCounters;
 use vt_armci::{Action, Op, OpKind, ProcCtx, Program, Rank, RuntimeConfig, Simulation};
 use vt_core::TopologyKind;
+use vt_simnet::net::NetCounters;
 use vt_simnet::SimTime;
 
 /// The contention level of a scenario.
@@ -193,19 +195,12 @@ pub struct ContentionOutcome {
     pub points: Vec<(u32, f64)>,
     /// Total simulated time of the whole protocol.
     pub finish: SimTime,
-    /// BEER slow-path events over the run.
-    pub stream_misses: u64,
-    /// Requests forwarded by intermediate CHTs (envelope members count
-    /// individually).
-    pub forwards: u64,
-    /// Physical forwarding messages (equals `forwards` with coalescing off).
-    pub fwd_messages: u64,
-    /// Coalesced envelopes assembled over the run.
-    pub envelopes: u64,
-    /// Member requests carried inside envelopes.
-    pub coalesced: u64,
-    /// Total network messages.
-    pub messages: u64,
+    /// Summed CHT counters: forwards (envelope members count
+    /// individually), physical forwarding messages, envelopes and the
+    /// requests folded into them.
+    pub cht: ChtCounters,
+    /// Network counters: messages and BEER slow-path stream misses.
+    pub net: NetCounters,
 }
 
 impl ContentionOutcome {
@@ -434,12 +429,8 @@ pub fn try_run(cfg: &ContentionConfig) -> Result<ContentionOutcome, crate::RunEr
     Ok(ContentionOutcome {
         points,
         finish: report.finish_time,
-        stream_misses: report.net.stream_misses,
-        forwards: report.cht_totals.forwarded,
-        fwd_messages: report.cht_totals.fwd_messages,
-        envelopes: report.cht_totals.envelopes,
-        coalesced: report.cht_totals.coalesced,
-        messages: report.net.messages,
+        cht: report.cht_totals,
+        net: report.net,
     })
 }
 
@@ -497,8 +488,8 @@ mod tests {
     fn mfcg_forwards_but_fcg_does_not() {
         let fcg = run(&tiny(TopologyKind::Fcg, Scenario::NoContention));
         let mfcg = run(&tiny(TopologyKind::Mfcg, Scenario::NoContention));
-        assert_eq!(fcg.forwards, 0);
-        assert!(mfcg.forwards > 0);
+        assert_eq!(fcg.cht.forwarded, 0);
+        assert!(mfcg.cht.forwarded > 0);
         // Without contention FCG's direct path is faster.
         assert!(mfcg.mean_us() > fcg.mean_us());
     }
@@ -521,11 +512,15 @@ mod tests {
         let a = run(&off);
         let b = run(&on);
         // Same logical forwarding work, fewer physical messages.
-        assert_eq!(a.fwd_messages, a.forwards);
-        assert!(b.envelopes > 0, "no envelopes formed");
-        assert_eq!(b.coalesced + (b.fwd_messages - b.envelopes), b.forwards);
-        assert!(b.fwd_messages < b.forwards);
-        assert!(b.messages < a.messages);
+        let (ca, cb) = (a.cht, b.cht);
+        assert_eq!(ca.fwd_messages, ca.forwarded);
+        assert!(cb.envelopes > 0, "no envelopes formed");
+        assert_eq!(
+            cb.coalesced + (cb.fwd_messages - cb.envelopes),
+            cb.forwarded
+        );
+        assert!(cb.fwd_messages < cb.forwarded);
+        assert!(b.net.messages < a.net.messages);
         // Coalescing must not slow the hot-spot workload down.
         assert!(
             b.finish <= a.finish,
@@ -547,12 +542,8 @@ mod tests {
         let out = ContentionOutcome {
             points: vec![(4, 10.0), (8, 30.0)],
             finish: SimTime::ZERO,
-            stream_misses: 0,
-            forwards: 0,
-            fwd_messages: 0,
-            envelopes: 0,
-            coalesced: 0,
-            messages: 0,
+            cht: ChtCounters::default(),
+            net: NetCounters::default(),
         };
         let s = out.series("fcg");
         assert_eq!(s.points, vec![(4.0, 10.0), (8.0, 30.0)]);

@@ -18,8 +18,8 @@
 
 use serde::{Deserialize, Serialize};
 use vt_armci::{
-    Action, FaultPlan, MembershipConfig, Rank, RepairStats, RuntimeConfig, ScriptProgram, SimTime,
-    Simulation,
+    Action, FaultPlan, FaultStats, MembershipConfig, Rank, RepairStats, RuntimeConfig,
+    ScriptProgram, SimTime, Simulation,
 };
 use vt_core::{TopologyKind, VirtualTopology};
 
@@ -94,24 +94,11 @@ pub struct FaultOutcome {
     pub victim: u32,
     /// Ranks lost with the victim node.
     pub lost_ranks: u32,
-    /// Operations that failed terminally.
-    pub failed_ops: u64,
     /// Operations that completed across all ranks.
     pub completed_ops: u64,
-    /// Retransmissions issued.
-    pub retries: u64,
-    /// Forwarding decisions that routed around the dead node.
-    pub reroutes: u64,
-    /// Buffer credits reclaimed from destroyed request copies.
-    pub reclaims: u64,
-    /// Duplicates suppressed by the target-side dedup table.
-    pub dedup_hits: u64,
-    /// Corrupt frames caught by the end-to-end envelope checksum (zero in
-    /// this scenario — the forwarder kill injects no corruption — but
-    /// surfaced so chaos-composed schedules report through the same shape).
-    pub corrupt_detected: u64,
-    /// Partition windows that healed during the run (likewise zero here).
-    pub partitions_healed: u64,
+    /// Fault-recovery counters of the faulted run: retries, reroutes,
+    /// credit reclaims, dedup hits, terminal failures.
+    pub faults: FaultStats,
     /// Membership / repair activity counters (all zero with membership
     /// off).
     pub repair: RepairStats,
@@ -208,14 +195,8 @@ pub fn try_run(cfg: &FaultScenarioConfig) -> Result<FaultOutcome, crate::RunErro
         availability: report.availability(),
         victim,
         lost_ranks: report.lost_ranks.len() as u32,
-        failed_ops: report.faults.failed_ops,
         completed_ops: report.metrics.total_ops(),
-        retries: report.faults.retries,
-        reroutes: report.faults.reroutes,
-        reclaims: report.faults.reclaims,
-        dedup_hits: report.faults.dedup_hits,
-        corrupt_detected: report.faults.corrupt_detected,
-        partitions_healed: report.faults.partitions_healed,
+        faults: report.faults,
         repair: report.repair,
     })
 }
@@ -249,7 +230,7 @@ mod tests {
         let o = run(&small(TopologyKind::Mfcg));
         assert_eq!(o.lost_ranks, 4);
         assert!((o.availability - 60.0 / 64.0).abs() < 1e-9, "{o:?}");
-        assert!(o.reroutes > 0, "{o:?}");
+        assert!(o.faults.reroutes > 0, "{o:?}");
         assert!(o.exec_seconds >= o.healthy_seconds, "{o:?}");
         assert!(o.completed_ops > 0);
     }
@@ -258,7 +239,7 @@ mod tests {
     fn fcg_loses_ranks_but_has_nothing_to_reroute() {
         let o = run(&small(TopologyKind::Fcg));
         assert_eq!(o.lost_ranks, 4);
-        assert_eq!(o.reroutes, 0, "{o:?}");
+        assert_eq!(o.faults.reroutes, 0, "{o:?}");
         assert!(o.availability > 0.9);
     }
 
@@ -267,8 +248,7 @@ mod tests {
         let a = run(&small(TopologyKind::Hypercube));
         let b = run(&small(TopologyKind::Hypercube));
         assert_eq!(a.exec_seconds, b.exec_seconds);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.reroutes, b.reroutes);
+        assert_eq!(a.faults, b.faults);
     }
 
     #[test]
@@ -280,7 +260,7 @@ mod tests {
         cfg.membership = true;
         cfg.ops_per_rank = 80;
         let o = run(&cfg);
-        assert_eq!(o.failed_ops, 0, "{o:?}");
+        assert_eq!(o.faults.failed_ops, 0, "{o:?}");
         assert!(o.repair.epoch_bumps >= 1, "{o:?}");
         assert!(o.availability > 0.9);
         // Without membership the same run reports all-zero repair stats.

@@ -171,22 +171,9 @@ impl ServeScenarioConfig {
 /// Result of one open-system serving run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServeOutcome {
-    /// Offered load: client arrivals generated over the horizon.
-    pub arrivals: u64,
-    /// Arrivals admitted past the per-client bound.
-    pub admitted: u64,
-    /// Arrivals shed by admission control.
-    pub sheds: u64,
-    /// Admitted requests completed with a response — the goodput.
-    pub completed: u64,
-    /// Admitted requests abandoned (budget exhausted or guard-shed).
-    pub gave_up: u64,
-    /// Serve-mode retransmissions issued.
-    pub retries: u64,
-    /// Retransmissions suppressed by budget or guard.
-    pub shed_retries: u64,
-    /// Metastability-guard engagements.
-    pub guard_trips: u64,
+    /// The run's serving counters: arrivals, admissions, sheds,
+    /// completions, retries, guard trips and the load re-pack.
+    pub stats: ServeStats,
     /// Offered load in requests/second over the horizon.
     pub offered_per_sec: f64,
     /// Goodput in completed requests/second over the full run.
@@ -212,16 +199,10 @@ pub struct ServeOutcome {
     /// `arrivals = admitted + sheds`, and the hot counter lies in
     /// `[completed, admitted]`.
     pub exactly_once: bool,
-    /// Load-triggered re-pack epochs committed (0 or 1).
-    pub load_repacks: u64,
-    /// The topology kind the re-pack committed, if one did.
-    pub repack_kind: Option<TopologyKind>,
     /// The committed re-pack kind re-certifies under `vt-analyze`.
     pub repack_certified: bool,
     /// Membership epochs committed during the run.
     pub epoch_bumps: u64,
-    /// Raw serving counters, for downstream tooling.
-    pub stats: ServeStats,
 }
 
 /// One point on the goodput-vs-offered-load curve.
@@ -276,14 +257,6 @@ pub fn try_run(cfg: &ServeScenarioConfig) -> Result<ServeOutcome, crate::RunErro
     let exec_s = report.finish_time.as_secs_f64();
     #[allow(clippy::cast_precision_loss)]
     let outcome = ServeOutcome {
-        arrivals: s.arrivals,
-        admitted: s.admitted,
-        sheds: s.sheds,
-        completed: s.completed,
-        gave_up: s.gave_up,
-        retries: s.retries,
-        shed_retries: s.shed_retries,
-        guard_trips: s.guard_trips,
         offered_per_sec: s.arrivals as f64 / horizon_s,
         goodput_per_sec: if exec_s > 0.0 {
             s.completed as f64 / exec_s
@@ -299,8 +272,6 @@ pub fn try_run(cfg: &ServeScenarioConfig) -> Result<ServeOutcome, crate::RunErro
         corrupt_detected: report.faults.corrupt_detected,
         hot_final,
         exactly_once,
-        load_repacks: s.load_repacks,
-        repack_kind: s.repack_kind,
         repack_certified,
         epoch_bumps: report.repair.epoch_bumps,
         stats: s,
@@ -321,10 +292,10 @@ pub fn curve(base: &ServeScenarioConfig, factors: &[f64]) -> Vec<CurvePoint> {
         .map(|&factor| {
             let o = run(&base.scaled(factor));
             #[allow(clippy::cast_precision_loss)]
-            let shed_frac = if o.arrivals == 0 {
+            let shed_frac = if o.stats.arrivals == 0 {
                 0.0
             } else {
-                o.sheds as f64 / o.arrivals as f64
+                o.stats.sheds as f64 / o.stats.arrivals as f64
             };
             CurvePoint {
                 factor,
@@ -350,13 +321,14 @@ pub fn render(cfg: &ServeScenarioConfig, o: &ServeOutcome) -> String {
         cfg.arrivals.kind.name(),
         cfg.horizon,
     ));
+    let s = &o.stats;
     out.push_str(&format!(
         "load: {} arrivals ({:.0}/s offered), {} admitted, {} shed, {} completed ({:.0}/s goodput), {} gave up\n",
-        o.arrivals, o.offered_per_sec, o.admitted, o.sheds, o.completed, o.goodput_per_sec, o.gave_up,
+        s.arrivals, o.offered_per_sec, s.admitted, s.sheds, s.completed, o.goodput_per_sec, s.gave_up,
     ));
     out.push_str(&format!(
         "retries: {} issued, {} suppressed, {} guard trips, retry budget {}\n",
-        o.retries, o.shed_retries, o.guard_trips, cfg.retry_budget,
+        s.retries, s.shed_retries, s.guard_trips, cfg.retry_budget,
     ));
     out.push_str(&format!(
         "latency: p50 {:.1} us, p99 {:.1} us, p99.9 {:.1} us, makespan {:.1} us\n",
@@ -368,14 +340,14 @@ pub fn render(cfg: &ServeScenarioConfig, o: &ServeOutcome) -> String {
     out.push_str(&format!(
         "ledger: hot counter {} in [{}, {}], {} dedup hits, {} corrupt caught, {} credit leaks, exactly-once {}\n",
         o.hot_final,
-        o.completed,
-        o.admitted,
+        s.completed,
+        s.admitted,
         o.dedup_hits,
         o.corrupt_detected,
         o.credit_leaks,
         if o.exactly_once { "HOLDS" } else { "VIOLATED" },
     ));
-    match o.repack_kind {
+    match s.repack_kind {
         Some(kind) => out.push_str(&format!(
             "load re-pack: {} -> {} committed under traffic (epoch {}), {}\n",
             cfg.topology.name(),
@@ -402,8 +374,8 @@ mod tests {
     fn steady_small_balances_its_ledger() {
         let cfg = ServeScenarioConfig::steady_small();
         let o = run(&cfg);
-        assert!(o.arrivals > 50, "{o:?}");
-        assert!(o.completed > 0, "{o:?}");
+        assert!(o.stats.arrivals > 50, "{o:?}");
+        assert!(o.stats.completed > 0, "{o:?}");
         assert!(o.exactly_once, "{o:?}");
         assert_eq!(o.credit_leaks, 0, "{o:?}");
     }
@@ -411,8 +383,8 @@ mod tests {
     #[test]
     fn load_repack_hotspot_commits_certified_epoch() {
         let o = run(&ServeScenarioConfig::load_repack_hotspot());
-        assert_eq!(o.load_repacks, 1, "{o:?}");
-        assert_eq!(o.repack_kind, Some(TopologyKind::Mfcg), "{o:?}");
+        assert_eq!(o.stats.load_repacks, 1, "{o:?}");
+        assert_eq!(o.stats.repack_kind, Some(TopologyKind::Mfcg), "{o:?}");
         assert!(o.repack_certified, "{o:?}");
         assert!(o.exactly_once, "{o:?}");
         assert_eq!(o.credit_leaks, 0);

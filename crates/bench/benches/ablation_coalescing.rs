@@ -66,11 +66,11 @@ fn main() {
             if *coalesce { "on" } else { "off" }.to_string(),
             format!("{:.1}", o.finish.as_micros_f64()),
             format!("{:.1}", o.mean_us()),
-            o.forwards.to_string(),
-            o.fwd_messages.to_string(),
-            o.envelopes.to_string(),
-            o.coalesced.to_string(),
-            o.messages.to_string(),
+            o.cht.forwarded.to_string(),
+            o.cht.fwd_messages.to_string(),
+            o.cht.envelopes.to_string(),
+            o.cht.coalesced.to_string(),
+            o.net.messages.to_string(),
         ]);
     }
     out.push_str(&table.render());

@@ -70,10 +70,10 @@ fn main() {
             format!("{:.1}", o.exec_seconds * 1e6),
             format!("{:.2}x", o.slowdown()),
             format!("{:.3}", o.availability),
-            o.retries.to_string(),
-            o.reroutes.to_string(),
-            o.reclaims.to_string(),
-            o.dedup_hits.to_string(),
+            o.faults.retries.to_string(),
+            o.faults.reroutes.to_string(),
+            o.faults.reclaims.to_string(),
+            o.faults.dedup_hits.to_string(),
         ]);
     }
     out.push_str(&table.render());

@@ -65,7 +65,7 @@ fn main() {
             topology.name().to_string(),
             scenario.label(),
             format!("{:.1}", o.mean_us()),
-            o.stream_misses.to_string(),
+            o.net.stream_misses.to_string(),
         ]);
     }
     let mut out = String::from("# Ablation: the Fig. 7 hot-spot protocol on XT5 vs Blue Gene/P\n");

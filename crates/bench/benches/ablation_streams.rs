@@ -58,7 +58,7 @@ fn main() {
             topology.name(),
             ctxs,
             o.mean_us(),
-            o.stream_misses
+            o.net.stream_misses
         ));
     }
     emit(&opts, "ablation_streams", &out);

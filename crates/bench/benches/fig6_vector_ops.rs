@@ -122,8 +122,8 @@ fn main() {
             scenario.label(),
             o.mean_us(),
             o.median_us(),
-            o.stream_misses,
-            o.forwards,
+            o.net.stream_misses,
+            o.cht.forwarded,
         ));
     }
     emit(&opts, "fig6_vector_ops", &out);

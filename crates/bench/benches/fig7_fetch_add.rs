@@ -114,8 +114,8 @@ fn main() {
             scenario.label(),
             o.mean_us(),
             o.median_us(),
-            o.stream_misses,
-            o.forwards,
+            o.net.stream_misses,
+            o.cht.forwarded,
         ));
     }
     emit(&opts, "fig7_fetch_add", &out);

@@ -24,6 +24,7 @@ use std::fmt;
 use std::time::Instant;
 use vt_apps::{grid, SweepCell};
 use vt_armci::{Action, Op, Rank, RuntimeConfig, ScriptProgram, Simulation};
+use vt_core::json::{Fixed, Object};
 use vt_core::TopologyKind;
 
 /// Blocking fetch-&-adds each non-idle rank issues (frozen).
@@ -272,16 +273,14 @@ pub fn run(opts: &BenchOpts) -> Result<BenchReport, BenchError> {
 
 /// Renders one cell as a JSON object (one line, stable key order).
 fn cell_json(c: &BenchCell) -> String {
-    format!(
-        "{{\"workload\":\"{}\",\"topology\":\"{}\",\"n_procs\":{},\"events\":{},\
-         \"best_wall_s\":{:.6},\"events_per_sec\":{:.0}}}",
-        c.workload,
-        c.topology.name(),
-        c.n_procs,
-        c.events,
-        c.best_wall_s,
-        c.events_per_sec(),
-    )
+    Object::new()
+        .field("workload", c.workload)
+        .field("topology", c.topology.name())
+        .field("n_procs", c.n_procs)
+        .field("events", c.events)
+        .field("best_wall_s", Fixed(c.best_wall_s, 6))
+        .field("events_per_sec", Fixed(c.events_per_sec(), 0))
+        .finish()
 }
 
 impl BenchReport {

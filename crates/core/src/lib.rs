@@ -45,6 +45,7 @@ pub mod coords;
 pub mod dot;
 pub mod graph;
 pub mod hash;
+pub mod json;
 pub mod ldf;
 pub mod memory;
 pub mod repack;

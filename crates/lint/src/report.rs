@@ -1,6 +1,6 @@
-//! Rendering of lint results: human text and hand-rolled JSON (the
-//! vendored serde shim provides no serialization), mirroring
-//! `vt-analyze`'s report idiom.
+//! Rendering of lint results as human text. The JSON document is built
+//! by `vtsim lint` with `vt_core::json`, so this crate keeps no
+//! dependencies.
 
 use crate::rules::Rule;
 use std::fmt::Write as _;
@@ -63,49 +63,6 @@ impl LintReport {
         );
         out
     }
-
-    /// Machine-readable JSON document.
-    pub fn to_json(&self) -> String {
-        let one = |f: &Finding| {
-            format!(
-                "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"snippet\":\"{}\",\"note\":\"{}\"}}",
-                f.rule,
-                json_escape(&f.path),
-                f.line,
-                json_escape(&f.snippet),
-                json_escape(&f.note)
-            )
-        };
-        let findings: Vec<String> = self.findings.iter().map(one).collect();
-        let allowed: Vec<String> = self.allowed.iter().map(one).collect();
-        format!(
-            "{{\"tool\":\"vt-lint\",\"clean\":{},\"files_scanned\":{},\"allow_entries\":{},\
-             \"findings\":[{}],\"allowed\":[{}]}}",
-            self.clean(),
-            self.files_scanned,
-            self.allow_entries,
-            findings.join(","),
-            allowed.join(",")
-        )
-    }
-}
-
-/// Minimal JSON string escaping (same contract as `vt_analyze`'s).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -134,20 +91,5 @@ mod tests {
         let text = r.render();
         assert!(text.contains("crates/armci/src/engine.rs:42 [D1]"));
         assert!(text.contains("FINDINGS"));
-    }
-
-    #[test]
-    fn json_is_well_formed_and_escaped() {
-        let mut f = finding();
-        f.note = "a \"quoted\"\nnote".into();
-        let r = LintReport {
-            findings: vec![f],
-            files_scanned: 1,
-            ..Default::default()
-        };
-        let j = r.to_json();
-        assert!(j.contains("\"clean\":false"));
-        assert!(j.contains("\\\"quoted\\\"\\nnote"));
-        assert!(!j.contains('\n'));
     }
 }

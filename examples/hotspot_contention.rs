@@ -46,8 +46,8 @@ fn main() {
             scenario.label(),
             format!("{:.1}", o.mean_us()),
             format!("{:.1}", o.median_us()),
-            o.stream_misses.to_string(),
-            o.forwards.to_string(),
+            o.net.stream_misses.to_string(),
+            o.cht.forwarded.to_string(),
         ]);
     }
     println!("{}", table.render());

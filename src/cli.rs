@@ -17,6 +17,7 @@ use vt_apps::repair::{RepairOutcome, RepairScenarioConfig};
 use vt_apps::serve::{CurvePoint, ServeOutcome, ServeScenarioConfig};
 use vt_apps::Table;
 use vt_armci::{CoalesceConfig, OpKind};
+use vt_core::json::{Fixed, Object};
 use vt_core::{analyze, DependencyGraph, MemoryModel, RequestTree, TopologyKind, VirtualTopology};
 
 /// The largest value a microsecond flag (`--kill-at-us`, `--horizon-us`,
@@ -83,6 +84,27 @@ impl Flags {
             ));
         }
         Ok(vt_armci::SimTime::from_micros(us))
+    }
+
+    /// Takes an `on|off` switch.
+    pub fn take_switch(&mut self, key: &str, default: bool) -> Result<bool, String> {
+        match self.map.remove(key).as_deref() {
+            None => Ok(default),
+            Some("on") => Ok(true),
+            Some("off") => Ok(false),
+            Some(other) => Err(format!("invalid value for --{key}: '{other}' (on|off)")),
+        }
+    }
+
+    /// Takes `--format human|json`; true when JSON was asked for.
+    pub fn take_format(&mut self) -> Result<bool, String> {
+        match self.map.remove("format").as_deref() {
+            None | Some("human") => Ok(false),
+            Some("json") => Ok(true),
+            Some(other) => Err(format!(
+                "invalid value for --format: '{other}' (human|json)"
+            )),
+        }
     }
 
     /// Takes the topology flag.
@@ -256,38 +278,21 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
     let mut flags = Flags::parse(args)?;
     let out = match cmd {
         "analyze" => {
-            let matrix = match flags.take("matrix", "off".to_string())?.as_str() {
-                "on" => true,
-                "off" => false,
-                other => return Err(format!("invalid value for --matrix: '{other}' (on|off)")),
-            };
-            let format = flags.take("format", "human".to_string())?;
-            if format != "human" && format != "json" {
-                return Err(format!(
-                    "invalid value for --format: '{format}' (human|json)"
-                ));
-            }
+            let matrix = flags.take_switch("matrix", false)?;
+            let json = flags.take_format()?;
             if matrix {
                 let threads: usize = flags.take("threads", 0)?;
                 flags.finish()?;
-                return analyze_matrix(&format, threads);
+                return analyze_matrix(json, threads);
             }
             let topology = flags.take_topology(TopologyKind::Mfcg)?;
             let nodes = flags.take_count("nodes", 64)?;
             let ppn = flags.take_count("ppn", 4)?;
             let credits: u32 = flags.take("credits", 4)?;
             let buffer_bytes: u64 = flags.take("buffer-bytes", 16 * 1024)?;
-            let coalesce = match flags.take("coalesce", "off".to_string())?.as_str() {
-                "on" => true,
-                "off" => false,
-                other => return Err(format!("invalid value for --coalesce: '{other}' (on|off)")),
-            };
+            let coalesce = flags.take_switch("coalesce", false)?;
             let fault = flags.take("fault", "none".to_string())?;
-            let model = match flags.take("model", "on".to_string())?.as_str() {
-                "on" => true,
-                "off" => false,
-                other => return Err(format!("invalid value for --model: '{other}' (on|off)")),
-            };
+            let model = flags.take_switch("model", true)?;
             let dot_path = flags.take("dot", String::new())?;
             flags.finish()?;
             let mut cfg = vt_analyze::AnalyzeConfig::new(topology, nodes);
@@ -321,10 +326,8 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                         .map_err(|e| format!("cannot write {dot_path}: {e}"))?;
                 }
             }
-            let rendered = if format == "json" {
-                let mut j = report.to_json();
-                j.push('\n');
-                j
+            let rendered = if json {
+                report.json().finish() + "\n"
             } else {
                 report.render()
             };
@@ -337,31 +340,19 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
         "lint" => {
             let root = flags.take("root", ".".to_string())?;
             let allow = flags.take("allow", String::new())?;
-            let format = flags.take("format", "human".to_string())?;
-            if format != "human" && format != "json" {
-                return Err(format!(
-                    "invalid value for --format: '{format}' (human|json)"
-                ));
-            }
+            let json = flags.take_format()?;
             let out_path = flags.take("out", String::new())?;
             flags.finish()?;
             let allow_path = (!allow.is_empty()).then(|| std::path::PathBuf::from(&allow));
             let report =
                 vt_lint::lint_workspace(std::path::Path::new(&root), allow_path.as_deref())
                     .map_err(|e| format!("lint failed: {e}"))?;
+            let doc = lint_json(&report) + "\n";
             if !out_path.is_empty() {
-                let mut doc = report.to_json();
-                doc.push('\n');
-                std::fs::write(&out_path, doc)
+                std::fs::write(&out_path, &doc)
                     .map_err(|e| format!("cannot write {out_path}: {e}"))?;
             }
-            let rendered = if format == "json" {
-                let mut j = report.to_json();
-                j.push('\n');
-                j
-            } else {
-                report.render()
-            };
+            let rendered = if json { doc } else { report.render() };
             if report.clean() {
                 rendered
             } else {
@@ -415,8 +406,8 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             }
         }
         "memory" => {
-            let nodes: u32 = flags.take("nodes", 1024)?;
-            let ppn: u32 = flags.take("ppn", 12)?;
+            let nodes = flags.take_count("nodes", 1024)?;
+            let ppn = flags.take_count("ppn", 12)?;
             flags.finish()?;
             let model = MemoryModel {
                 procs_per_node: ppn,
@@ -453,11 +444,9 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             let ppn = flags.take_count("ppn", 4)?;
             let measure_stride: u32 = flags.take("stride", 16)?;
             let iterations: u32 = flags.take("iterations", 20)?;
-            let coalesce = match flags.take("coalesce", "off".to_string())?.as_str() {
-                "on" => Some(CoalesceConfig::on()),
-                "off" => None,
-                other => return Err(format!("invalid value for --coalesce: '{other}' (on|off)")),
-            };
+            let coalesce = flags
+                .take_switch("coalesce", false)?
+                .then(CoalesceConfig::on);
             flags.finish()?;
             if n_procs <= ppn {
                 // The experiment measures ranks off rank 0's node.
@@ -483,14 +472,14 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 o.mean_us(),
                 o.median_us(),
                 o.points.len(),
-                o.stream_misses,
-                o.forwards,
+                o.net.stream_misses,
+                o.cht.forwarded,
                 o.finish.as_secs_f64(),
             );
             if coalesce.is_some() {
                 out.push_str(&format!(
                     "coalescing: {} envelopes folded {} requests ({} physical forwards, {} net messages)\n",
-                    o.envelopes, o.coalesced, o.fwd_messages, o.messages,
+                    o.cht.envelopes, o.cht.coalesced, o.cht.fwd_messages, o.net.messages,
                 ));
             }
             out
@@ -515,7 +504,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
         }
         "dft" => {
             let topology = flags.take_topology(TopologyKind::Fcg)?;
-            let cores: u32 = flags.take("cores", 3072)?;
+            let cores = flags.take_count("cores", 3072)?;
             let default_tasks = DftConfig::siosi3(cores, topology).total_tasks;
             let tasks: u32 = flags.take("tasks", default_tasks / 8)?;
             flags.finish()?;
@@ -535,7 +524,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
         }
         "ccsd" => {
             let topology = flags.take_topology(TopologyKind::Fcg)?;
-            let cores: u32 = flags.take("cores", 9996)?;
+            let cores = flags.take_count("cores", 9996)?;
             flags.finish()?;
             let mut cfg = CcsdConfig::water(cores, topology);
             cfg.serial_seconds /= 8.0;
@@ -576,15 +565,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             let ppn = flags.take_count("ppn", 4)?;
             let ops_per_rank: u32 = flags.take("ops", 8)?;
             let kill_at = flags.take_micros("kill-at-us", 300)?;
-            let membership = match flags.take("membership", "off".to_string())?.as_str() {
-                "on" => true,
-                "off" => false,
-                other => {
-                    return Err(format!(
-                        "invalid value for --membership: '{other}' (on|off)"
-                    ))
-                }
-            };
+            let membership = flags.take_switch("membership", false)?;
             flags.finish()?;
             let cfg = FaultScenarioConfig {
                 n_procs,
@@ -617,14 +598,14 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 o.slowdown(),
                 o.availability,
                 o.lost_ranks,
-                o.failed_ops,
+                o.faults.failed_ops,
                 o.completed_ops,
-                o.retries,
-                o.reroutes,
-                o.reclaims,
-                o.dedup_hits,
-                o.corrupt_detected,
-                o.partitions_healed,
+                o.faults.retries,
+                o.faults.reroutes,
+                o.faults.reclaims,
+                o.faults.dedup_hits,
+                o.faults.corrupt_detected,
+                o.faults.partitions_healed,
             );
             if membership {
                 out.push_str(&render_repair_stats(&o.repair));
@@ -632,12 +613,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             out
         }
         "repair" => {
-            let format = flags.take("format", "human".to_string())?;
-            if format != "human" && format != "json" {
-                return Err(format!(
-                    "invalid value for --format: '{format}' (human|json)"
-                ));
-            }
+            let json = flags.take_format()?;
             let custom = flags.map.contains_key("topology")
                 || flags.map.contains_key("nodes")
                 || flags.map.contains_key("victim");
@@ -649,7 +625,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 };
                 let nodes: u32 = flags.take("nodes", base.nodes)?;
                 let victim: u32 = flags.take("victim", base.victim)?;
-                let ppn: u32 = flags.take("ppn", base.ppn)?;
+                let ppn = flags.take_count("ppn", base.ppn)?;
                 let ops: u32 = flags.take("ops", base.ops_per_rank)?;
                 let kill_at = flags.take_micros("kill-at-us", 50)?;
                 if !topology.supports(nodes) {
@@ -671,7 +647,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                     ..base
                 }]
             } else {
-                let ppn: u32 = flags.take("ppn", 2)?;
+                let ppn = flags.take_count("ppn", 2)?;
                 let ops: u32 = flags.take("ops", 4)?;
                 let kill_at = flags.take_micros("kill-at-us", 50)?;
                 [
@@ -693,19 +669,19 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             let mut all_ok = true;
             for cfg in &scenarios {
                 let o = vt_apps::repair::run(cfg);
-                let ok = o.completed && o.credit_leaks == 0 && o.post_repair_certified;
-                all_ok &= ok;
-                if format == "json" {
+                all_ok &= o.completed && o.credit_leaks == 0 && o.post_repair_certified;
+                if json {
                     cells.push(repair_json(cfg, &o));
                 } else {
                     out.push_str(&render_repair_outcome(cfg, &o));
                 }
             }
-            if format == "json" {
-                out = format!(
-                    "{{\"all_repaired\":{all_ok},\"scenarios\":[{}]}}\n",
-                    cells.join(",")
-                );
+            if json {
+                out = Object::new()
+                    .field("all_repaired", all_ok)
+                    .field("scenarios", cells)
+                    .finish()
+                    + "\n";
             }
             if !all_ok {
                 return Err(format!("repair experiment FAILED\n{out}"));
@@ -713,12 +689,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             out
         }
         "serve" => {
-            let format = flags.take("format", "human".to_string())?;
-            if format != "human" && format != "json" {
-                return Err(format!(
-                    "invalid value for --format: '{format}' (human|json)"
-                ));
-            }
+            let json = flags.take_format()?;
             let preset = flags.take("preset", "flash-crowd".to_string())?;
             let base = match preset.as_str() {
                 "flash-crowd" | "flash" => ServeScenarioConfig::flash_crowd(),
@@ -743,21 +714,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 flags.take_micros("retry-timeout-us", base.retry_timeout.as_nanos() / 1000)?;
             cfg.guard_threshold = flags.take("guard", base.guard_threshold)?;
             cfg.tick = flags.take_micros("tick-us", base.tick.as_nanos() / 1000)?;
-            cfg.load_repack = match flags
-                .take(
-                    "load-repack",
-                    if base.load_repack { "on" } else { "off" }.to_string(),
-                )?
-                .as_str()
-            {
-                "on" => true,
-                "off" => false,
-                other => {
-                    return Err(format!(
-                        "invalid value for --load-repack: '{other}' (on|off)"
-                    ))
-                }
-            };
+            cfg.load_repack = flags.take_switch("load-repack", base.load_repack)?;
             let curve_spec = flags.take("curve", String::new())?;
             flags.finish()?;
             if !cfg.topology.supports(cfg.nodes) {
@@ -767,17 +724,26 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                     cfg.nodes
                 ));
             }
+            cfg.runtime_config().check()?;
+            // Every scaled configuration is checked before any cell runs.
             let factors = curve_spec
                 .split(',')
                 .filter(|v| !v.is_empty())
-                .map(|v| match v.parse::<f64>() {
-                    Ok(f) if f > 0.0 && f.is_finite() => Ok(f),
-                    _ => Err(format!(
-                        "invalid factor '{v}' in --curve (a positive load multiplier)"
-                    )),
+                .map(|v| {
+                    let f = v
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|f| *f > 0.0 && f.is_finite())
+                        .ok_or_else(|| {
+                            format!("invalid factor '{v}' in --curve (a positive load multiplier)")
+                        })?;
+                    cfg.scaled(f)
+                        .runtime_config()
+                        .check()
+                        .map_err(|e| format!("invalid factor '{v}' in --curve: {e}"))?;
+                    Ok(f)
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
-            cfg.runtime_config().check()?;
             let o = vt_apps::serve::run(&cfg);
             let ok = o.exactly_once && o.credit_leaks == 0;
             let points = if factors.is_empty() {
@@ -785,7 +751,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             } else {
                 vt_apps::serve::curve(&cfg, &factors)
             };
-            let mut out = if format == "json" {
+            let mut out = if json {
                 serve_json(&cfg, &o, &points)
             } else {
                 let mut s = vt_apps::serve::render(&cfg, &o);
@@ -801,32 +767,22 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             out
         }
         "chaos" => {
-            let format = flags.take("format", "human".to_string())?;
-            if format != "human" && format != "json" {
-                return Err(format!(
-                    "invalid value for --format: '{format}' (human|json)"
-                ));
-            }
-            let quick = match flags.take("quick", "off".to_string())?.as_str() {
-                "on" => true,
-                "off" => false,
-                other => return Err(format!("invalid value for --quick: '{other}' (on|off)")),
-            };
-            let base = if quick {
+            let json = flags.take_format()?;
+            let base = if flags.take_switch("quick", false)? {
                 ChaosConfig::quick()
             } else {
                 ChaosConfig::paper()
             };
             let cfg = ChaosConfig {
                 cells: flags.take("cells", base.cells)?,
-                ppn: flags.take("ppn", base.ppn)?,
+                ppn: flags.take_count("ppn", base.ppn)?,
                 ops_per_rank: flags.take("ops", base.ops_per_rank)?,
                 seed: flags.take("seed", base.seed)?,
                 threads: flags.take("threads", base.threads)?,
             };
             flags.finish()?;
             let o = vt_apps::chaos::try_run(&cfg).map_err(|e| e.to_string())?;
-            let out = if format == "json" {
+            let out = if json {
                 chaos_json(&cfg, &o)
             } else {
                 render_chaos(&cfg, &o)
@@ -841,25 +797,13 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             out
         }
         "bench" => {
-            let quick = match flags.take("quick", "off".to_string())?.as_str() {
-                "on" => true,
-                "off" => false,
-                other => return Err(format!("invalid value for --quick: '{other}' (on|off)")),
-            };
-            let mut opts = if quick {
+            let mut opts = if flags.take_switch("quick", false)? {
                 vt_bench::throughput::BenchOpts::quick()
             } else {
                 vt_bench::throughput::BenchOpts::full()
             };
-            opts.repeats = flags.take("repeats", opts.repeats)?;
-            opts.serve = match flags
-                .take("serve", if opts.serve { "on" } else { "off" }.to_string())?
-                .as_str()
-            {
-                "on" => true,
-                "off" => false,
-                other => return Err(format!("invalid value for --serve: '{other}' (on|off)")),
-            };
+            opts.repeats = flags.take_count("repeats", opts.repeats)?;
+            opts.serve = flags.take_switch("serve", opts.serve)?;
             let sizes = flags.take("sizes", String::new())?;
             if !sizes.is_empty() {
                 opts.sizes = sizes
@@ -967,25 +911,19 @@ fn render_repair_stats(r: &vt_armci::RepairStats) -> String {
     )
 }
 
-/// Matching field order for the repair JSON objects.
-fn repair_stats_json(r: &vt_armci::RepairStats) -> String {
-    format!(
-        "{{\"suspicions\":{},\"false_suspicions\":{},\
-         \"false_suspicions_suppressed\":{},\
-         \"epoch_bumps\":{},\"rejoins_committed\":{},\
-         \"drained_requests\":{},\"replayed_requests\":{},\
-         \"probes\":{},\"fallback_depth\":{},\"final_epoch\":{}}}",
-        r.suspicions,
-        r.false_suspicions,
-        r.false_suspicions_suppressed,
-        r.epoch_bumps,
-        r.rejoins_committed,
-        r.drained_requests,
-        r.replayed_requests,
-        r.probes,
-        r.fallback_depth,
-        r.final_epoch,
-    )
+/// The repair counters as a JSON object, in the human line's order.
+fn repair_stats_json(r: &vt_armci::RepairStats) -> Object {
+    Object::new()
+        .field("suspicions", r.suspicions)
+        .field("false_suspicions", r.false_suspicions)
+        .field("false_suspicions_suppressed", r.false_suspicions_suppressed)
+        .field("epoch_bumps", r.epoch_bumps)
+        .field("rejoins_committed", r.rejoins_committed)
+        .field("drained_requests", r.drained_requests)
+        .field("replayed_requests", r.replayed_requests)
+        .field("probes", r.probes)
+        .field("fallback_depth", r.fallback_depth)
+        .field("final_epoch", r.final_epoch)
 }
 
 /// Human rendering of one membership-repair scenario outcome.
@@ -1026,31 +964,24 @@ fn render_repair_outcome(cfg: &RepairScenarioConfig, o: &RepairOutcome) -> Strin
     s
 }
 
-/// Hand-rolled JSON cell for one membership-repair scenario outcome.
-fn repair_json(cfg: &RepairScenarioConfig, o: &RepairOutcome) -> String {
-    format!(
-        "{{\"topology\":\"{}\",\"nodes\":{},\"victim\":{},\"static_refusal\":{},\
-         \"completed\":{},\"exec_seconds\":{:.9},\"availability\":{:.6},\
-         \"completed_ops\":{},\"failed_ops\":{},\"credit_leaks\":{},\
-         \"lost_ranks\":{},\"retries\":{},\
-         \"post_repair_kind\":\"{}\",\"post_repair_certified\":{},\
-         \"repair\":{}}}",
-        cfg.topology.name(),
-        cfg.nodes,
-        o.victim,
-        o.static_refusal,
-        o.completed,
-        o.exec_seconds,
-        o.availability,
-        o.completed_ops,
-        o.failed_ops,
-        o.credit_leaks,
-        o.lost_ranks,
-        o.retries,
-        o.post_repair_kind.name(),
-        o.post_repair_certified,
-        repair_stats_json(&o.repair),
-    )
+/// JSON cell for one membership-repair scenario outcome.
+fn repair_json(cfg: &RepairScenarioConfig, o: &RepairOutcome) -> Object {
+    Object::new()
+        .field("topology", cfg.topology.name())
+        .field("nodes", cfg.nodes)
+        .field("victim", o.victim)
+        .field("static_refusal", o.static_refusal)
+        .field("completed", o.completed)
+        .field("exec_seconds", Fixed(o.exec_seconds, 9))
+        .field("availability", Fixed(o.availability, 6))
+        .field("completed_ops", o.completed_ops)
+        .field("failed_ops", o.failed_ops)
+        .field("credit_leaks", o.credit_leaks)
+        .field("lost_ranks", o.lost_ranks)
+        .field("retries", o.retries)
+        .field("post_repair_kind", o.post_repair_kind.name())
+        .field("post_repair_certified", o.post_repair_certified)
+        .field("repair", repair_stats_json(&o.repair))
 }
 
 /// 64-bit FNV-1a — a stable short fingerprint for the per-cell replay
@@ -1095,11 +1026,11 @@ fn render_chaos(cfg: &ChaosConfig, o: &ChaosOutcome) -> String {
                 c.crashes, c.restarts, c.partitions, c.drop_windows, c.corrupt_windows
             ),
             format!("{:.1}", c.exec_seconds * 1e6),
-            c.retries.to_string(),
-            c.corrupt_detected.to_string(),
-            c.epoch_bumps.to_string(),
-            c.rejoins_committed.to_string(),
-            c.partitions_healed.to_string(),
+            c.faults.retries.to_string(),
+            c.faults.corrupt_detected.to_string(),
+            c.repair.epoch_bumps.to_string(),
+            c.repair.rejoins_committed.to_string(),
+            c.faults.partitions_healed.to_string(),
             format!("{:016x}", fnv64(&c.digest)),
             if c.passed() {
                 "ok".to_string()
@@ -1113,12 +1044,12 @@ fn render_chaos(cfg: &ChaosConfig, o: &ChaosOutcome) -> String {
     out.push_str(&format!(
         "totals: {} retries, {} corrupt caught, {} epoch bumps, {} rejoins, \
          {} partitions healed, {} suppressed suspicions\n",
-        tot(|c| c.retries),
-        tot(|c| c.corrupt_detected),
-        tot(|c| c.epoch_bumps),
-        tot(|c| c.rejoins_committed),
-        tot(|c| c.partitions_healed),
-        tot(|c| c.false_suspicions_suppressed),
+        tot(|c| c.faults.retries),
+        tot(|c| c.faults.corrupt_detected),
+        tot(|c| c.repair.epoch_bumps),
+        tot(|c| c.repair.rejoins_committed),
+        tot(|c| c.faults.partitions_healed),
+        tot(|c| c.repair.false_suspicions_suppressed),
     ));
     let failing = o.failing_cells();
     if failing == 0 {
@@ -1149,53 +1080,43 @@ fn render_chaos(cfg: &ChaosConfig, o: &ChaosOutcome) -> String {
     out
 }
 
-/// Hand-rolled JSON document for one chaos campaign.
+/// JSON document for one chaos campaign.
 fn chaos_json(cfg: &ChaosConfig, o: &ChaosOutcome) -> String {
-    let cells = o
+    let cells: Vec<Object> = o
         .cells
         .iter()
         .map(|c| {
-            let violations = c
-                .violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "{{\"idx\":{},\"topology\":\"{}\",\"n_procs\":{},\
-                 \"crashes\":{},\"restarts\":{},\"partitions\":{},\
-                 \"drop_windows\":{},\"corrupt_windows\":{},\
-                 \"exec_seconds\":{:.9},\"retries\":{},\"corrupt_detected\":{},\
-                 \"epoch_bumps\":{},\"rejoins_committed\":{},\
-                 \"partitions_healed\":{},\"false_suspicions_suppressed\":{},\
-                 \"digest\":\"{:016x}\",\"passed\":{},\"violations\":[{violations}]}}",
-                c.idx,
-                c.topology.name(),
-                c.n_procs,
-                c.crashes,
-                c.restarts,
-                c.partitions,
-                c.drop_windows,
-                c.corrupt_windows,
-                c.exec_seconds,
-                c.retries,
-                c.corrupt_detected,
-                c.epoch_bumps,
-                c.rejoins_committed,
-                c.partitions_healed,
-                c.false_suspicions_suppressed,
-                fnv64(&c.digest),
-                c.passed(),
-            )
+            Object::new()
+                .field("idx", c.idx)
+                .field("topology", c.topology.name())
+                .field("n_procs", c.n_procs)
+                .field("crashes", c.crashes)
+                .field("restarts", c.restarts)
+                .field("partitions", c.partitions)
+                .field("drop_windows", c.drop_windows)
+                .field("corrupt_windows", c.corrupt_windows)
+                .field("exec_seconds", Fixed(c.exec_seconds, 9))
+                .field("retries", c.faults.retries)
+                .field("corrupt_detected", c.faults.corrupt_detected)
+                .field("epoch_bumps", c.repair.epoch_bumps)
+                .field("rejoins_committed", c.repair.rejoins_committed)
+                .field("partitions_healed", c.faults.partitions_healed)
+                .field(
+                    "false_suspicions_suppressed",
+                    c.repair.false_suspicions_suppressed,
+                )
+                .field("digest", format!("{:016x}", fnv64(&c.digest)))
+                .field("passed", c.passed())
+                .field("violations", &c.violations)
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"cells\":{},\"seed\":{},\"all_passed\":{},\"cell_results\":[{cells}]}}\n",
-        cfg.cells,
-        cfg.seed,
-        o.failing_cells() == 0,
-    )
+        .collect();
+    Object::new()
+        .field("cells", cfg.cells)
+        .field("seed", cfg.seed)
+        .field("all_passed", o.failing_cells() == 0)
+        .field("cell_results", cells)
+        .finish()
+        + "\n"
 }
 
 /// Human rendering of the goodput-vs-offered-load curve.
@@ -1214,61 +1135,75 @@ fn render_serve_curve(points: &[CurvePoint]) -> String {
     s
 }
 
-/// Hand-rolled JSON document for one serving run (plus optional curve).
+/// JSON document for one serving run (plus optional curve).
 fn serve_json(cfg: &ServeScenarioConfig, o: &ServeOutcome, points: &[CurvePoint]) -> String {
-    let repack_kind = match o.repack_kind {
-        Some(k) => format!("\"{}\"", k.name()),
-        None => "null".to_string(),
-    };
-    let curve = points
+    let s = &o.stats;
+    let curve: Vec<Object> = points
         .iter()
         .map(|p| {
-            format!(
-                "{{\"factor\":{},\"offered_per_sec\":{:.3},\"goodput_per_sec\":{:.3},\
-                 \"shed_frac\":{:.6},\"p99_us\":{:.3}}}",
-                p.factor, p.offered_per_sec, p.goodput_per_sec, p.shed_frac, p.p99_us
-            )
+            Object::new()
+                .field("factor", p.factor)
+                .field("offered_per_sec", Fixed(p.offered_per_sec, 3))
+                .field("goodput_per_sec", Fixed(p.goodput_per_sec, 3))
+                .field("shed_frac", Fixed(p.shed_frac, 6))
+                .field("p99_us", Fixed(p.p99_us, 3))
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"topology\":\"{}\",\"nodes\":{},\"ppn\":{},\"arrivals_kind\":\"{}\",\
-         \"arrivals\":{},\"admitted\":{},\"sheds\":{},\"completed\":{},\"gave_up\":{},\
-         \"retries\":{},\"shed_retries\":{},\"guard_trips\":{},\
-         \"offered_per_sec\":{:.3},\"goodput_per_sec\":{:.3},\
-         \"p50_us\":{:.3},\"p99_us\":{:.3},\"p999_us\":{:.3},\
-         \"exec_seconds\":{:.9},\"credit_leaks\":{},\"dedup_hits\":{},\
-         \"corrupt_detected\":{},\
-         \"hot_final\":{},\"exactly_once\":{},\"load_repacks\":{},\
-         \"repack_kind\":{repack_kind},\"repack_certified\":{},\
-         \"epoch_bumps\":{},\"curve\":[{curve}]}}\n",
-        cfg.topology.name(),
-        cfg.nodes,
-        cfg.ppn,
-        cfg.arrivals.kind.name(),
-        o.arrivals,
-        o.admitted,
-        o.sheds,
-        o.completed,
-        o.gave_up,
-        o.retries,
-        o.shed_retries,
-        o.guard_trips,
-        o.offered_per_sec,
-        o.goodput_per_sec,
-        o.p50_us,
-        o.p99_us,
-        o.p999_us,
-        o.exec_seconds,
-        o.credit_leaks,
-        o.dedup_hits,
-        o.corrupt_detected,
-        o.hot_final,
-        o.exactly_once,
-        o.load_repacks,
-        o.repack_certified,
-        o.epoch_bumps,
-    )
+        .collect();
+    Object::new()
+        .field("topology", cfg.topology.name())
+        .field("nodes", cfg.nodes)
+        .field("ppn", cfg.ppn)
+        .field("arrivals_kind", cfg.arrivals.kind.name())
+        .field("arrivals", s.arrivals)
+        .field("admitted", s.admitted)
+        .field("sheds", s.sheds)
+        .field("completed", s.completed)
+        .field("gave_up", s.gave_up)
+        .field("retries", s.retries)
+        .field("shed_retries", s.shed_retries)
+        .field("guard_trips", s.guard_trips)
+        .field("offered_per_sec", Fixed(o.offered_per_sec, 3))
+        .field("goodput_per_sec", Fixed(o.goodput_per_sec, 3))
+        .field("p50_us", Fixed(o.p50_us, 3))
+        .field("p99_us", Fixed(o.p99_us, 3))
+        .field("p999_us", Fixed(o.p999_us, 3))
+        .field("exec_seconds", Fixed(o.exec_seconds, 9))
+        .field("credit_leaks", o.credit_leaks)
+        .field("dedup_hits", o.dedup_hits)
+        .field("corrupt_detected", o.corrupt_detected)
+        .field("hot_final", o.hot_final)
+        .field("exactly_once", o.exactly_once)
+        .field("load_repacks", s.load_repacks)
+        .field("repack_kind", s.repack_kind.map(TopologyKind::name))
+        .field("repack_certified", o.repack_certified)
+        .field("epoch_bumps", o.epoch_bumps)
+        .field("curve", curve)
+        .finish()
+        + "\n"
+}
+
+/// JSON document for one lint run.
+fn lint_json(r: &vt_lint::LintReport) -> String {
+    let findings = |list: &[vt_lint::Finding]| -> Vec<Object> {
+        list.iter()
+            .map(|f| {
+                Object::new()
+                    .field("rule", f.rule.to_string())
+                    .field("path", &f.path)
+                    .field("line", f.line)
+                    .field("snippet", &f.snippet)
+                    .field("note", &f.note)
+            })
+            .collect()
+    };
+    Object::new()
+        .field("tool", "vt-lint")
+        .field("clean", r.clean())
+        .field("files_scanned", r.files_scanned)
+        .field("allow_entries", r.allow_entries)
+        .field("findings", findings(&r.findings))
+        .field("allowed", findings(&r.allowed))
+        .finish()
 }
 
 /// The CI verification matrix: every topology at representative sizes —
@@ -1276,7 +1211,7 @@ fn serve_json(cfg: &ServeScenarioConfig, o: &ServeOutcome, points: &[CurvePoint]
 /// coalescing on/off and {fault-free, forwarder crash}. Fails (non-zero
 /// exit) when any cell is not certified; the JSON carries the per-cell
 /// reports plus the `all_certified` gate bit.
-fn analyze_matrix(format: &str, threads: usize) -> Result<String, String> {
+fn analyze_matrix(json: bool, threads: usize) -> Result<String, String> {
     // Representative populations per topology, including non-power-of-two
     // and partially-packed LDF sizes. Partial packings are single-fault
     // tolerant only outside the top slice's escape-critical set (the
@@ -1329,13 +1264,14 @@ fn analyze_matrix(format: &str, threads: usize) -> Result<String, String> {
             if fault { "crash" } else { "none" },
             if ok { "CERTIFIED" } else { "NOT CERTIFIED" },
         ));
-        cells.push(report.to_json());
+        cells.push(report.json());
     }
-    let out = if format == "json" {
-        format!(
-            "{{\"all_certified\":{all},\"cells\":[{}]}}\n",
-            cells.join(",")
-        )
+    let out = if json {
+        Object::new()
+            .field("all_certified", all)
+            .field("cells", cells)
+            .finish()
+            + "\n"
     } else {
         format!(
             "{human}matrix: {} cells, {}\n",
@@ -1722,7 +1658,7 @@ mod tests {
 
     #[test]
     fn degenerate_counts_and_curve_points_are_errors_not_panics() {
-        let cases: [(&str, &[&str], &str); 9] = [
+        let cases: [(&str, &[&str], &str); 16] = [
             ("contention", &["--procs", "0"], "--procs"),
             ("contention", &["--ppn", "0"], "--ppn"),
             ("contention", &["--procs", "64", "--ppn", "128"], "--procs"),
@@ -1732,6 +1668,17 @@ mod tests {
             ("analyze", &["--nodes", "0"], "--nodes"),
             ("serve", &["--preset", "steady", "--curve", "0"], "--curve"),
             ("serve", &["--preset", "steady", "--curve", "-1"], "--curve"),
+            ("repair", &["--ppn", "0"], "--ppn"),
+            ("chaos", &["--ppn", "0", "--cells", "2"], "--ppn"),
+            ("dft", &["--cores", "0"], "--cores"),
+            ("ccsd", &["--cores", "0"], "--cores"),
+            (
+                "serve",
+                &["--preset", "steady", "--curve", "1e308"],
+                "'1e308' in --curve",
+            ),
+            ("memory", &["--ppn", "0"], "--ppn"),
+            ("bench", &["--repeats", "0"], "--repeats"),
         ];
         for (cmd, args, flag) in cases {
             assert_refused(cmd, args, flag);
@@ -1858,6 +1805,47 @@ mod tests {
         assert!(run_command("chaos", &s(&["--cells", "0"]))
             .unwrap_err()
             .contains("at least one cell"));
+    }
+
+    #[test]
+    fn switches_and_formats_take_only_their_two_values() {
+        let mut f = Flags::parse(&s(&["--a", "on", "--b", "off", "--format", "json"])).unwrap();
+        assert!(f.take_switch("a", false).unwrap());
+        assert!(!f.take_switch("b", true).unwrap());
+        assert!(f.take_switch("absent", true).unwrap());
+        assert!(f.take_format().unwrap());
+        assert!(!f.take_format().unwrap());
+        f.finish().unwrap();
+        let mut f = Flags::parse(&s(&["--a", "yes", "--format", "xml"])).unwrap();
+        assert!(f
+            .take_switch("a", false)
+            .unwrap_err()
+            .contains("--a: 'yes' (on|off)"));
+        assert!(f.take_format().unwrap_err().contains("(human|json)"));
+    }
+
+    #[test]
+    fn lint_json_is_well_formed_and_escaped() {
+        let finding = vt_lint::Finding {
+            rule: vt_lint::Rule::D1,
+            path: "crates/armci/src/engine.rs".into(),
+            line: 42,
+            snippet: "for k in map.keys() {".into(),
+            note: "a \"quoted\"\nnote".into(),
+        };
+        let r = vt_lint::LintReport {
+            findings: vec![finding],
+            files_scanned: 1,
+            ..Default::default()
+        };
+        let j = lint_json(&r);
+        assert!(
+            j.starts_with("{\"tool\":\"vt-lint\",\"clean\":false"),
+            "{j}"
+        );
+        assert!(j.contains("\"rule\":\"D1\""), "{j}");
+        assert!(j.contains("\\\"quoted\\\"\\nnote"), "{j}");
+        assert!(!j.contains('\n'));
     }
 
     #[test]

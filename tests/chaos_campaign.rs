@@ -35,7 +35,12 @@ fn campaign_report_is_thread_count_invariant() {
     let fingerprint = |o: &chaos::ChaosOutcome| {
         o.cells
             .iter()
-            .map(|c| format!("{}:{}:{:?}:{}", c.idx, c.digest, c.violations, c.retries))
+            .map(|c| {
+                format!(
+                    "{}:{}:{:?}:{}",
+                    c.idx, c.digest, c.violations, c.faults.retries
+                )
+            })
             .collect::<Vec<_>>()
     };
     let base = fingerprint(&outcomes[0]);

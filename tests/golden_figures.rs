@@ -208,9 +208,9 @@ fn contention_figure(title: &str, op: OpSpec) -> String {
             format!("{:.3}", o.finish.as_micros_f64()),
             format!("{:.3}", o.mean_us()),
             format!("{:.3}", o.median_us()),
-            o.stream_misses.to_string(),
-            o.forwards.to_string(),
-            o.messages.to_string(),
+            o.net.stream_misses.to_string(),
+            o.cht.forwarded.to_string(),
+            o.net.messages.to_string(),
         ]);
     }
     let _ = write!(out, "{}", table.render());

@@ -37,7 +37,11 @@ fn fcg_collapses_under_hot_spot_contention() {
     );
     // The BEER mechanism must be engaged: hundreds of interleaved source
     // nodes thrash the stream table.
-    assert!(loud.stream_misses > 10_000, "misses {}", loud.stream_misses);
+    assert!(
+        loud.net.stream_misses > 10_000,
+        "misses {}",
+        loud.net.stream_misses
+    );
 }
 
 #[test]

@@ -199,8 +199,11 @@ fn flash_crowd_matches_golden() {
     let o = serve::run(&cfg);
     // The cell must actually exercise the overload path before its render
     // is worth pinning.
-    assert!(o.sheds > 0, "flash spike did not overload: {o:?}");
-    assert!(o.retries > 0, "no retransmissions under overload: {o:?}");
+    assert!(o.stats.sheds > 0, "flash spike did not overload: {o:?}");
+    assert!(
+        o.stats.retries > 0,
+        "no retransmissions under overload: {o:?}"
+    );
     assert!(o.dedup_hits > 0, "no dedup pressure past saturation: {o:?}");
     assert!(o.exactly_once, "{o:?}");
     assert_eq!(o.credit_leaks, 0);
@@ -245,14 +248,17 @@ fn flash_crowd_matches_golden() {
 fn load_repack_under_traffic_is_exactly_once_and_certified() {
     let cfg = ServeScenarioConfig::load_repack_hotspot();
     let a = serve::run(&cfg);
-    assert_eq!(a.load_repacks, 1, "{a:?}");
+    assert_eq!(a.stats.load_repacks, 1, "{a:?}");
     assert_eq!(a.epoch_bumps, 1, "{a:?}");
-    assert_eq!(a.repack_kind, Some(TopologyKind::Mfcg), "{a:?}");
+    assert_eq!(a.stats.repack_kind, Some(TopologyKind::Mfcg), "{a:?}");
     assert!(a.repack_certified, "{a:?}");
     assert!(a.exactly_once, "{a:?}");
     assert_eq!(a.credit_leaks, 0);
     // The commit happened under live traffic, not at quiescence.
-    assert!(a.completed > 0 && a.arrivals > a.completed, "{a:?}");
+    assert!(
+        a.stats.completed > 0 && a.stats.arrivals > a.stats.completed,
+        "{a:?}"
+    );
     // And the whole episode replays bit-identically.
     let b = serve::run(&cfg);
     assert_eq!(a.stats, b.stats);
