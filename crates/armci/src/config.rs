@@ -136,17 +136,16 @@ pub struct RetryConfig {
     /// Exponential backoff multiplier: attempt `k` waits
     /// `timeout × backoff^k`.
     pub backoff: u32,
-    /// Use capped *decorrelated jitter* instead of the fixed exponential
+    /// Upper bound on any jittered wait. Serve-mode requests retransmit
+    /// with capped *decorrelated jitter* instead of the fixed exponential
     /// ladder: attempt `k ≥ 1` waits a uniform draw from
-    /// `[timeout, min(jitter_cap, prev × backoff))`, where `prev` is the
+    /// `[timeout, min(jitter_cap, prev × backoff)]`, where `prev` is the
     /// previous attempt's actual wait. Synchronised retransmissions are the
     /// fuel of retry storms — jitter desynchronises them while the cap keeps
     /// the worst-case wait bounded. Deterministic: the draw comes from a
     /// pure [`DetRng`] fork keyed on `(seed, seq, attempt)`, so a seed fixes
-    /// the whole timeline. Off by default (serving mode forces it on) so
-    /// committed fault baselines keep their exact exponential timings.
-    pub jitter: bool,
-    /// Upper bound on any jittered wait. Irrelevant when `jitter` is off.
+    /// the whole timeline. Every other retransmission keeps the fixed
+    /// ladder, so committed fault baselines keep their exact timings.
     pub jitter_cap: SimTime,
 }
 
@@ -156,7 +155,6 @@ impl Default for RetryConfig {
             timeout: SimTime::from_millis(5),
             max_retries: 4,
             backoff: 2,
-            jitter: false,
             jitter_cap: SimTime::from_millis(80),
         }
     }
@@ -671,7 +669,6 @@ mod tests {
     fn serve_defaults_off_and_validates_when_on() {
         let cfg = RuntimeConfig::new(16, TopologyKind::Mfcg);
         assert!(!cfg.serve.enabled);
-        assert!(!cfg.retry.jitter);
         cfg.validate();
         let mut on = cfg;
         on.serve = ServeConfig::on(

@@ -239,18 +239,18 @@ impl Engine {
     /// Arms the per-request response timer for `req`'s current attempt
     /// (no-op without recovery).
     ///
-    /// With jitter enabled (always on for serve-mode requests, opt-in via
-    /// [`RetryConfig::jitter`](crate::RetryConfig::jitter) otherwise) the
-    /// delay is drawn from the capped decorrelated-jitter distribution: a
+    /// A serve-mode request's retransmission delay is drawn from the capped
+    /// decorrelated-jitter distribution
+    /// ([`RetryConfig::jitter_cap`](crate::RetryConfig::jitter_cap)): a
     /// pure function of `(seed, seq, attempt)`, so replays of the same
-    /// timeline redraw identical delays.
+    /// timeline redraw identical delays. Every other request waits the
+    /// fixed exponential deadline.
     pub(super) fn arm_timeout(&mut self, now: SimTime, req: ReqId) {
         if self.recovery.is_none() {
             return;
         }
         let r = &self.requests[req as usize];
-        let jitter = self.cfg.retry.jitter || r.serve;
-        let delay = if r.attempt == 0 || !jitter {
+        let delay = if r.attempt == 0 || !r.serve {
             self.cfg.retry.deadline(r.attempt)
         } else {
             let mut rng =
