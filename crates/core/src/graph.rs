@@ -231,38 +231,10 @@ impl DependencyGraph {
     where
         F: FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
     {
-        let n = topo.num_nodes();
-        let mut channels = Vec::new();
-        let mut index = HashMap::new();
-        for from in 0..n {
-            for to in topo.out_neighbors(from) {
-                index.insert((from, to), channels.len() as u32);
-                channels.push((from, to));
-            }
-        }
-        let mut graph = DiGraph::new(channels.len());
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst {
-                    continue;
-                }
-                let Some(route) = router(src, dst) else {
-                    continue;
-                };
-                let mut prev: Option<u32> = None;
-                let mut cur = src;
-                for &hop in &route {
-                    let ch = *index
-                        .get(&(cur, hop))
-                        .unwrap_or_else(|| panic!("route uses non-edge {cur} -> {hop}"));
-                    if let Some(p) = prev {
-                        graph.add_edge(p, ch);
-                    }
-                    prev = Some(ch);
-                    cur = hop;
-                }
-            }
-        }
+        let (channels, index) = channels_of(topo);
+        let graph = all_pairs_digraph(topo, &index, 1, |src, dst| {
+            router(src, dst).map(|route| route.into_iter().map(|hop| (hop, 0)))
+        });
         DependencyGraph {
             channels,
             index,
@@ -331,23 +303,45 @@ impl DependencyGraph {
 /// # Panics
 /// Panics if a route uses a pair of nodes that is not a topology edge or a
 /// class `>= classes`.
-pub fn classed_dependency_digraph<F>(
-    topo: &dyn VirtualTopology,
-    classes: u8,
-    mut router: F,
-) -> DiGraph
+pub fn classed_dependency_digraph<F>(topo: &dyn VirtualTopology, classes: u8, router: F) -> DiGraph
 where
     F: FnMut(NodeId, NodeId) -> Option<Vec<(NodeId, u8)>>,
 {
     assert!(classes >= 1, "need at least one buffer class");
-    let n = topo.num_nodes();
+    let (_, index) = channels_of(topo);
+    all_pairs_digraph(topo, &index, classes, router)
+}
+
+/// The topology's directed edges in `(from, out-neighbour)` order, and the
+/// channel id of each.
+fn channels_of(
+    topo: &dyn VirtualTopology,
+) -> (Vec<(NodeId, NodeId)>, HashMap<(NodeId, NodeId), u32>) {
+    let mut channels = Vec::new();
     let mut index = HashMap::new();
-    for from in 0..n {
+    for from in 0..topo.num_nodes() {
         for to in topo.out_neighbors(from) {
-            let next = index.len() as u32;
-            index.insert((from, to), next);
+            index.insert((from, to), channels.len() as u32);
+            channels.push((from, to));
         }
     }
+    (channels, index)
+}
+
+/// Routes every ordered pair of distinct nodes and adds an arc between the
+/// `(channel, class)` buffers of each two consecutive hops; vertex
+/// `class * channel_count + channel`.
+fn all_pairs_digraph<F, R>(
+    topo: &dyn VirtualTopology,
+    index: &HashMap<(NodeId, NodeId), u32>,
+    classes: u8,
+    mut router: F,
+) -> DiGraph
+where
+    F: FnMut(NodeId, NodeId) -> Option<R>,
+    R: IntoIterator<Item = (NodeId, u8)>,
+{
+    let n = topo.num_nodes();
     let channel_count = index.len() as u32;
     let mut graph = DiGraph::new((channel_count as usize) * usize::from(classes));
     for src in 0..n {
@@ -360,7 +354,7 @@ where
             };
             let mut prev: Option<u32> = None;
             let mut cur = src;
-            for &(hop, class) in &route {
+            for (hop, class) in route {
                 assert!(class < classes, "class {class} out of range 0..{classes}");
                 let ch = *index
                     .get(&(cur, hop))
