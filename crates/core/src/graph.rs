@@ -15,6 +15,9 @@
 use crate::topology::{NodeId, VirtualTopology};
 use std::collections::HashMap;
 
+/// Channel id of each directed topology edge `(from, to)`.
+type ChannelIndex = HashMap<(NodeId, NodeId), u32>;
+
 /// A small adjacency-list directed graph over `u32` vertices.
 #[derive(Clone, Debug, Default)]
 pub struct DiGraph {
@@ -196,7 +199,7 @@ impl DiGraph {
 /// `c₂`'s head node.
 pub struct DependencyGraph {
     channels: Vec<(NodeId, NodeId)>,
-    index: HashMap<(NodeId, NodeId), u32>,
+    index: ChannelIndex,
     graph: DiGraph,
 }
 
@@ -314,9 +317,7 @@ where
 
 /// The topology's directed edges in `(from, out-neighbour)` order, and the
 /// channel id of each.
-fn channels_of(
-    topo: &dyn VirtualTopology,
-) -> (Vec<(NodeId, NodeId)>, HashMap<(NodeId, NodeId), u32>) {
+fn channels_of(topo: &dyn VirtualTopology) -> (Vec<(NodeId, NodeId)>, ChannelIndex) {
     let mut channels = Vec::new();
     let mut index = HashMap::new();
     for from in 0..topo.num_nodes() {
@@ -333,7 +334,7 @@ fn channels_of(
 /// `class * channel_count + channel`.
 fn all_pairs_digraph<F, R>(
     topo: &dyn VirtualTopology,
-    index: &HashMap<(NodeId, NodeId), u32>,
+    index: &ChannelIndex,
     classes: u8,
     mut router: F,
 ) -> DiGraph

@@ -35,47 +35,41 @@ pub trait Value {
 pub struct Fixed(pub f64, pub usize);
 
 /// A JSON object whose fields render in the order they were added.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Object {
-    out: String,
-}
-
-impl Default for Object {
-    fn default() -> Self {
-        Self::new()
-    }
+    fields: String,
 }
 
 impl Object {
     /// An empty object.
     pub fn new() -> Self {
-        Object {
-            out: String::from("{"),
-        }
+        Self::default()
     }
 
     /// Appends `key: value`.
     #[must_use]
     pub fn field(mut self, key: &str, value: impl Value) -> Self {
-        if self.out.len() > 1 {
-            self.out.push(',');
+        if !self.fields.is_empty() {
+            self.fields.push(',');
         }
-        key.write_json(&mut self.out);
-        self.out.push(':');
-        value.write_json(&mut self.out);
+        key.write_json(&mut self.fields);
+        self.fields.push(':');
+        value.write_json(&mut self.fields);
         self
     }
 
     /// The rendered object.
-    pub fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
+    pub fn finish(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 }
 
 impl Value for Object {
     fn write_json(&self, out: &mut String) {
-        out.push_str(&self.out);
+        out.push('{');
+        out.push_str(&self.fields);
         out.push('}');
     }
 }
