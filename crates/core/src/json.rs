@@ -115,7 +115,7 @@ macro_rules! integer_values {
     )*};
 }
 
-integer_values!(u32, u64, usize, i64);
+integer_values!(u32, u64, usize);
 
 impl Value for f64 {
     fn write_json(&self, out: &mut String) {
@@ -203,16 +203,13 @@ mod tests {
 
     #[test]
     fn nested_objects_and_arrays() {
-        let inner = Object::new().field("k", -3i64);
+        let inner = Object::new().field("k", 3u64);
         let doc = Object::new()
             .field("one", inner.clone())
             .field("many", vec![inner.clone(), inner])
             .field("none", Vec::<u32>::new())
             .finish();
-        assert_eq!(
-            doc,
-            r#"{"one":{"k":-3},"many":[{"k":-3},{"k":-3}],"none":[]}"#
-        );
+        assert_eq!(doc, r#"{"one":{"k":3},"many":[{"k":3},{"k":3}],"none":[]}"#);
     }
 
     #[test]

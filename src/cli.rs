@@ -1795,6 +1795,35 @@ mod tests {
     }
 
     #[test]
+    fn chaos_json_escapes_violation_strings() {
+        let cell = vt_apps::CellOutcome {
+            idx: 3,
+            topology: TopologyKind::Mfcg,
+            n_procs: 16,
+            crashes: 1,
+            restarts: 1,
+            partitions: 0,
+            drop_windows: 0,
+            corrupt_windows: 0,
+            exec_seconds: 0.5,
+            faults: vt_armci::FaultStats::default(),
+            repair: vt_armci::RepairStats::default(),
+            violations: vec!["credit leak on \"0->2\"\tc0".into()],
+            digest: String::new(),
+        };
+        let o = ChaosOutcome {
+            cells: vec![cell],
+            minimized: None,
+        };
+        let j = chaos_json(&ChaosConfig::quick(), &o);
+        assert!(j.contains("\"all_passed\":false"), "{j}");
+        assert!(
+            j.contains("\"violations\":[\"credit leak on \\\"0->2\\\"\\tc0\"]"),
+            "{j}"
+        );
+    }
+
+    #[test]
     fn chaos_command_rejects_bad_flags() {
         assert!(run_command("chaos", &s(&["--format", "xml"]))
             .unwrap_err()
