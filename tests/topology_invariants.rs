@@ -186,3 +186,28 @@ fn dead_free_forward_decision_walks_the_ldf_route() {
         }
     }
 }
+
+/// `vtsim topo` pinned byte for byte: FCG, MFCG and CFCG at full and
+/// partial populations (5, 16, 23, 29, 64, 97) and the hypercube at the
+/// powers of two among them, joined by blank lines. The last line of each
+/// report carries the buffer-dependency graph's channel and arc counts,
+/// so any change to channel numbering or to the all-pairs builder shows
+/// up here. The snapshot is an oracle: no environment variable rewrites it.
+#[test]
+fn topo_reports_match_the_golden() {
+    let mut reports = Vec::new();
+    for kind in ["fcg", "mfcg", "cfcg", "hypercube"] {
+        for nodes in ["5", "16", "23", "29", "64", "97"] {
+            let args: Vec<String> = ["--topology", kind, "--nodes", nodes]
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
+            if let Ok(out) = armci_vt::cli::run_command("topo", &args) {
+                reports.push(out);
+            }
+        }
+    }
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/topo.txt");
+    let expected = std::fs::read_to_string(golden).expect("golden snapshot present");
+    assert_eq!(reports.join("\n"), expected);
+}
