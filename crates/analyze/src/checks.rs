@@ -4,10 +4,10 @@
 //! the report layer aggregates them and the whole configuration is
 //! *certified* only when every check passes.
 
-use crate::depgraph::{DepGraph, Walk};
+use crate::depgraph::{cycle_witness, Walk};
 use crate::{AnalyzeConfig, CheckResult};
 use vt_armci::forward_decision;
-use vt_core::{Grid, MemoryModel, TopologyKind, VirtualTopology};
+use vt_core::{DependencyGraph, Grid, MemoryModel, TopologyKind, VirtualTopology};
 
 fn pass(name: &str, detail: String) -> CheckResult {
     CheckResult {
@@ -28,8 +28,8 @@ fn fail(name: &str, detail: String) -> CheckResult {
 /// Acyclicity of the `(channel, class)` wait-for relation. The offending
 /// cycle, when one exists, is returned separately so the report layer can
 /// render it as a DOT counterexample.
-pub fn check_acyclic(dg: &DepGraph) -> (CheckResult, Option<crate::CycleWitness>) {
-    match dg.find_cycle_witness() {
+pub fn check_acyclic(dg: &DependencyGraph) -> (CheckResult, Option<crate::CycleWitness>) {
+    match cycle_witness(dg) {
         None => (
             pass(
                 "acyclicity",
@@ -191,11 +191,12 @@ pub fn check_budget(topo: &Grid, cfg: &AnalyzeConfig) -> CheckResult {
 /// request-level dependency graph — i.e. coalescing can never introduce a
 /// `(channel, class)` transition that per-request forwarding does not
 /// already have, which is why PR 2's envelopes inherit LDF's acyclicity.
-pub fn check_coalescing(topo: &Grid, dead: &[u32], dg: &DepGraph) -> CheckResult {
+pub fn check_coalescing(topo: &Grid, dead: &[u32], walk: &Walk) -> CheckResult {
     let n = topo.num_nodes();
     let shape = topo.shape();
+    let dg = &walk.dg;
     let mut checked = 0u64;
-    for &(ch, class, dest) in &dg.arrivals {
+    for &(ch, class, dest) in &walk.arrivals {
         let (from, at) = dg.channels[ch as usize];
         // Arrivals harvested under an earlier crash prefix may pass
         // through a node that is dead in the final set; those envelopes

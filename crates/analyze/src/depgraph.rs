@@ -25,13 +25,17 @@
 //! everything the route-level checks need: the wait-for arcs, the
 //! totality failures under the final dead set, the fault-free forwarding
 //! depth, and — only when coalescing is checked — the refold arrivals.
-//! Channels are looked up in a dense per-node index (each node's
-//! out-channels are one sorted run of [`DepGraph::channels`]), not hashed.
+//! The walk builds into [`vt_core::DependencyGraph`], the same graph
+//! `vtsim topo` and the deadlock tests build from router closures, so
+//! channel numbering, the vertex formula and the dense per-node channel
+//! index exist once. The walk differs from
+//! [`DependencyGraph::add_routes`] only where the certifier must not
+//! panic: a non-edge hop is recorded in `bad_edges` for the totality
+//! check.
 
 use crate::CycleWitness;
 use vt_armci::forward_decision;
-use vt_core::graph::DiGraph;
-use vt_core::{Grid, Shape, VirtualTopology};
+use vt_core::{DependencyGraph, Grid, Shape, VirtualTopology};
 
 /// The number of escape buffer classes a `shape`-dimensional topology can
 /// ever use: route-around escalates the class once per dimension descent,
@@ -41,79 +45,35 @@ pub fn escape_classes(topo: &Grid) -> u8 {
     topo.shape().ndims() as u8
 }
 
-/// The `(channel, class)` dependency graph of one routing configuration.
+/// The totality check describes at most this many failing pairs; one
+/// failure already refuses the configuration.
+const REPORTED_FAILURES: usize = 5;
+
+/// Everything one routing walk over the crash prefixes establishes.
 #[derive(Debug)]
-pub struct DepGraph {
-    /// Populated directed topology edges: node by node, each node's
-    /// out-edges by ascending target.
-    pub channels: Vec<(u32, u32)>,
-    /// Node `v`'s out-channels are ids `first[v] .. first[v + 1]`. The
-    /// whole of `channels` is sorted too, but one binary search over it
-    /// made the certifier about twice as slow at 1023 nodes as searching
-    /// only the node's own run.
-    first: Vec<u32>,
-    /// Escape classes modelled (`vertex = class * channels + channel`).
-    pub classes: u8,
-    /// The wait-for relation between `(channel, class)` buffers.
-    pub graph: DiGraph,
-    /// Hops some route took over a pair of nodes that is **not** a
-    /// populated topology edge (sorted, deduplicated) — always a
-    /// verification failure, reported by the totality check rather than
-    /// panicking here.
-    pub bad_edges: Vec<(u32, u32)>,
+pub struct Walk {
+    /// The union of every prefix's wait-for relation.
+    pub dg: DependencyGraph,
     /// `(in-channel, class, dest)` triples observed on routes (sorted,
     /// deduplicated), keyed for the coalescing refold check: a request
     /// that arrived at a node via `in-channel` in `class`, still destined
     /// for `dest`. Recorded only when [`walk`] is asked for refolds.
     pub arrivals: Vec<(u32, u8, u32)>,
+    /// Ordered pairs of nodes live under the final dead set.
+    pub live_pairs: u64,
+    /// The first five live pairs, in `(src, dst)` order, whose route
+    /// under the final dead set dead-ends, leaves the topology, escalates
+    /// past the modelled classes or exceeds `ndims` hops.
+    pub failures: Vec<String>,
+    /// The largest forwarding depth (hops minus the terminal delivery)
+    /// of any pair in the dead-free prefix.
+    pub max_depth: u32,
+    /// The first pair, in `(src, dst)` order, of depth `max_depth`
+    /// (`(0, 0)` when no pair forwards).
+    pub depth_pair: (u32, u32),
 }
 
-impl DepGraph {
-    /// The arc-free graph over `topo`'s channels in `classes` classes.
-    fn empty(topo: &Grid, classes: u8) -> Self {
-        let n = topo.num_nodes();
-        let mut channels = Vec::new();
-        let mut first = Vec::with_capacity(n as usize + 1);
-        for from in 0..n {
-            first.push(channels.len() as u32);
-            channels.extend(topo.out_neighbors(from).into_iter().map(|to| (from, to)));
-        }
-        first.push(channels.len() as u32);
-        let classes = classes.max(1);
-        DepGraph {
-            graph: DiGraph::new(channels.len() * usize::from(classes)),
-            channels,
-            first,
-            classes,
-            bad_edges: Vec::new(),
-            arrivals: Vec::new(),
-        }
-    }
-
-    /// Channel id of the populated edge `from -> to`, or `None` when it
-    /// is not one.
-    pub fn channel(&self, from: u32, to: u32) -> Option<u32> {
-        let lo = *self.first.get(from as usize)?;
-        let hi = *self.first.get(from as usize + 1)?;
-        self.channels[lo as usize..hi as usize]
-            .binary_search_by_key(&to, |&(_, t)| t)
-            .ok()
-            .map(|i| lo + i as u32)
-    }
-
-    /// Vertex id of `(channel, class)`.
-    pub fn vertex(&self, channel: u32, class: u8) -> u32 {
-        u32::from(class) * self.channels.len() as u32 + channel
-    }
-
-    /// Decomposes a vertex id back into `(channel endpoints, class)`.
-    pub fn decode(&self, v: u32) -> ((u32, u32), u8) {
-        let nch = self.channels.len() as u32;
-        let class = (v / nch) as u8;
-        let ch = self.channels[(v % nch) as usize];
-        (ch, class)
-    }
-
+impl Walk {
     /// Follows the route from `src` to `dst` under `dead`, hop by hop
     /// through [`forward_decision`], adding its wait-for arcs (and, when
     /// `refolds`, its arrivals at forwarders). Returns the hop count, or
@@ -136,19 +96,19 @@ impl DepGraph {
             let Some((hop, c)) = forward_decision(shape, n, prev, cur, dst, class, dead) else {
                 return Err(format!("{src}->{dst} dead-ends at {cur}"));
             };
-            let Some(ch) = self.channel(cur, hop) else {
-                self.bad_edges.push((cur, hop));
+            let Some(ch) = self.dg.channel(cur, hop) else {
+                self.dg.bad_edges.push((cur, hop));
                 return Err(format!("{src}->{dst} hops off-topology {cur}->{hop}"));
             };
-            if c >= self.classes {
+            if c >= self.dg.classes {
                 return Err(format!(
                     "{src}->{dst} escalates to class {c} (modelled {})",
-                    self.classes
+                    self.dg.classes
                 ));
             }
-            let v = self.vertex(ch, c);
+            let v = self.dg.vertex(ch, c);
             if let Some(p) = prev_vertex {
-                self.graph.add_edge(p, v);
+                self.dg.graph.add_edge(p, v);
             }
             if refolds && hop != dst {
                 self.arrivals.push((ch, c, dst));
@@ -162,38 +122,6 @@ impl DepGraph {
         }
         Ok(hops)
     }
-
-    /// A cycle in the wait-for relation, decoded into a witness the
-    /// report layer can render as DOT — or `None`, the certificate.
-    pub fn find_cycle_witness(&self) -> Option<CycleWitness> {
-        let cycle = self.graph.find_cycle()?;
-        Some(CycleWitness {
-            hops: cycle.iter().map(|&v| self.decode(v)).collect(),
-        })
-    }
-}
-
-/// The totality check describes at most this many failing pairs; one
-/// failure already refuses the configuration.
-const REPORTED_FAILURES: usize = 5;
-
-/// Everything one routing walk over the crash prefixes establishes.
-#[derive(Debug)]
-pub struct Walk {
-    /// The union of every prefix's wait-for relation.
-    pub dg: DepGraph,
-    /// Ordered pairs of nodes live under the final dead set.
-    pub live_pairs: u64,
-    /// The first five live pairs, in `(src, dst)` order, whose route
-    /// under the final dead set dead-ends, leaves the topology, escalates
-    /// past the modelled classes or exceeds `ndims` hops.
-    pub failures: Vec<String>,
-    /// The largest forwarding depth (hops minus the terminal delivery)
-    /// of any pair in the dead-free prefix.
-    pub max_depth: u32,
-    /// The first pair, in `(src, dst)` order, of depth `max_depth`
-    /// (`(0, 0)` when no pair forwards).
-    pub depth_pair: (u32, u32),
 }
 
 /// Walks every live ordered pair of `topo` once per crash prefix of
@@ -223,7 +151,8 @@ pub fn walk(topo: &Grid, dead_sequence: &[u32], refolds: bool) -> Walk {
     let n = topo.num_nodes();
     let shape = topo.shape();
     let mut w = Walk {
-        dg: DepGraph::empty(topo, escape_classes(topo)),
+        dg: DependencyGraph::new(topo, escape_classes(topo)),
+        arrivals: Vec::new(),
         live_pairs: 0,
         failures: Vec::new(),
         max_depth: 0,
@@ -241,7 +170,7 @@ pub fn walk(topo: &Grid, dead_sequence: &[u32], refolds: bool) -> Walk {
         let last = prefix == dead_sequence.len();
         for src in (0..n).filter(|&v| live[v as usize]) {
             for dst in (0..n).filter(|&v| v != src && live[v as usize]) {
-                let route = w.dg.trace(shape, n, src, dst, &dead, refolds);
+                let route = w.trace(shape, n, src, dst, &dead, refolds);
                 if last {
                     w.live_pairs += 1;
                 }
@@ -261,8 +190,8 @@ pub fn walk(topo: &Grid, dead_sequence: &[u32], refolds: bool) -> Walk {
             }
         }
         if refolds {
-            w.dg.arrivals.sort_unstable();
-            w.dg.arrivals.dedup();
+            w.arrivals.sort_unstable();
+            w.arrivals.dedup();
         }
     }
     w.dg.bad_edges.sort_unstable();
@@ -270,43 +199,13 @@ pub fn walk(topo: &Grid, dead_sequence: &[u32], refolds: bool) -> Walk {
     w
 }
 
-/// Builds the dependency graph of an **arbitrary** classed router over
-/// `topo`'s channels — the entry point for verifying routing functions
-/// other than the engine's (and for proving that a deliberately miswired
-/// one is caught: a cyclic router here must produce a cycle witness).
-/// The router returns, per ordered pair, the classed hop sequence, or
-/// `None` to decline the pair. Arrivals are not recorded.
-pub fn build_with_router<F>(topo: &Grid, classes: u8, mut router: F) -> DepGraph
-where
-    F: FnMut(u32, u32) -> Option<Vec<(u32, u8)>>,
-{
-    let n = topo.num_nodes();
-    let mut dg = DepGraph::empty(topo, classes);
-    for src in 0..n {
-        for dst in (0..n).filter(|&v| v != src) {
-            let Some(route) = router(src, dst) else {
-                continue;
-            };
-            let mut cur = src;
-            let mut prev_vertex: Option<u32> = None;
-            for &(hop, class) in &route {
-                let ch = match dg.channel(cur, hop) {
-                    Some(ch) if class < dg.classes => ch,
-                    _ => {
-                        dg.bad_edges.push((cur, hop));
-                        break;
-                    }
-                };
-                let v = dg.vertex(ch, class);
-                if let Some(p) = prev_vertex {
-                    dg.graph.add_edge(p, v);
-                }
-                prev_vertex = Some(v);
-                cur = hop;
-            }
-        }
-    }
-    dg
+/// A cycle in `dg`'s wait-for relation, decoded into a witness the
+/// report layer can render as DOT — or `None`, the certificate.
+pub fn cycle_witness(dg: &DependencyGraph) -> Option<CycleWitness> {
+    let cycle = dg.graph.find_cycle()?;
+    Some(CycleWitness {
+        hops: cycle.iter().map(|&v| dg.decode(v)).collect(),
+    })
 }
 
 #[cfg(test)]
@@ -327,7 +226,7 @@ mod tests {
                 assert!(dg.graph.successors(v).is_empty());
             }
         }
-        assert!(dg.find_cycle_witness().is_none());
+        assert!(cycle_witness(&dg).is_none());
     }
 
     #[test]
@@ -341,7 +240,7 @@ mod tests {
                 || dg.graph.successors(v).iter().any(|&s| s >= nch)
         });
         assert!(has_escape, "killing a forwarder must engage escape classes");
-        assert!(dg.find_cycle_witness().is_none());
+        assert!(cycle_witness(&dg).is_none());
     }
 
     #[test]
@@ -350,7 +249,8 @@ mod tests {
         // of directly: a textbook buffer-dependency cycle. The analyzer
         // must find it and render it as DOT.
         let topo = TopologyKind::Fcg.build(3);
-        let dg = build_with_router(&topo, 1, |src, dst| {
+        let mut dg = DependencyGraph::new(&topo, 1);
+        dg.add_routes(|src, dst| {
             let mut route = Vec::new();
             let mut cur = src;
             while cur != dst {
@@ -359,7 +259,7 @@ mod tests {
             }
             Some(route)
         });
-        let w = dg.find_cycle_witness().expect("ring routing must cycle");
+        let w = cycle_witness(&dg).expect("ring routing must cycle");
         // The witness is a real closed walk over ring channels.
         assert_eq!(w.hops.first(), w.hops.last());
         assert!(w.len() >= 2);
@@ -384,7 +284,7 @@ mod tests {
             let topo = kind.build(n);
             let dg = walk(&topo, &[3, 5], false).dg;
             assert!(
-                dg.find_cycle_witness().is_none(),
+                cycle_witness(&dg).is_none(),
                 "{kind} union graph must be acyclic"
             );
         }

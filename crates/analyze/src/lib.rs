@@ -202,7 +202,7 @@ pub fn analyze(cfg: &AnalyzeConfig) -> Result<AnalysisReport, String> {
     checks.push(checks::check_depth(&topo, &walk));
     checks.push(checks::check_budget(&topo, cfg));
     if cfg.coalescing {
-        checks.push(checks::check_coalescing(&topo, &dead, &walk.dg));
+        checks.push(checks::check_coalescing(&topo, &dead, &walk));
     }
 
     let model = if cfg.model_check {

@@ -8,15 +8,14 @@
 //! ordering instantiates (§IV-A) and that its extension to partial
 //! populations preserves (§IV-B).
 //!
-//! [`DependencyGraph`] builds that graph from *all-pairs* routes and checks
-//! it for cycles, turning the paper's informal proof into an executable
-//! property.
+//! [`DependencyGraph`] is that graph over *(channel, escape class)*
+//! buffers, built from *all-pairs* routes and checked for cycles, turning
+//! the paper's informal proof into an executable property. It is the one
+//! graph behind `vtsim topo`, the deadlock tests and the static certifier
+//! in `vt-analyze`, which walks the engine's own forwarding decision into
+//! it instead of a router closure.
 
 use crate::topology::{NodeId, VirtualTopology};
-use std::collections::HashMap;
-
-/// Channel id of each directed topology edge `(from, to)`.
-type ChannelIndex = HashMap<(NodeId, NodeId), u32>;
 
 /// A small adjacency-list directed graph over `u32` vertices.
 #[derive(Clone, Debug, Default)]
@@ -60,64 +59,15 @@ impl DiGraph {
         self.adj.iter().map(Vec::len).sum()
     }
 
-    /// Adds every edge of `other` to `self` (both over the same vertex set).
-    ///
-    /// # Panics
-    /// Panics if the vertex counts differ.
-    pub fn merge_from(&mut self, other: &DiGraph) {
-        assert_eq!(self.adj.len(), other.adj.len(), "vertex counts differ");
-        for v in 0..other.adj.len() as u32 {
-            for &s in other.successors(v) {
-                self.add_edge(v, s);
-            }
-        }
-    }
-
-    /// Whether the graph contains a directed cycle (iterative three-colour
-    /// DFS, safe for large graphs).
-    pub fn has_cycle(&self) -> bool {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let mut colour = vec![Colour::White; self.adj.len()];
-        let mut stack: Vec<(u32, usize)> = Vec::new();
-        for start in 0..self.adj.len() as u32 {
-            if colour[start as usize] != Colour::White {
-                continue;
-            }
-            colour[start as usize] = Colour::Grey;
-            stack.push((start, 0));
-            while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-                if let Some(&succ) = self.adj[v as usize].get(*next) {
-                    *next += 1;
-                    match colour[succ as usize] {
-                        Colour::Grey => return true,
-                        Colour::White => {
-                            colour[succ as usize] = Colour::Grey;
-                            stack.push((succ, 0));
-                        }
-                        Colour::Black => {}
-                    }
-                } else {
-                    colour[v as usize] = Colour::Black;
-                    stack.pop();
-                }
-            }
-        }
-        false
-    }
-
     /// A concrete directed cycle, as the sequence of vertices
     /// `v₀ → v₁ → … → v₀` (the closing vertex repeated at the end), or
     /// `None` when the graph is acyclic.
     ///
-    /// This is the counterexample extractor behind the static analyzer's
-    /// deadlock verdicts: [`DiGraph::has_cycle`] answers *whether* a cyclic
-    /// buffer dependency exists, `find_cycle` exhibits one so it can be
-    /// rendered (e.g. as DOT) and independently re-checked edge by edge.
+    /// An iterative three-colour DFS, safe for large graphs. This is both
+    /// the cycle test ([`DependencyGraph::is_deadlock_free`]) and the
+    /// counterexample extractor behind the static analyzer's deadlock
+    /// verdicts: the cycle can be rendered (e.g. as DOT) and independently
+    /// re-checked edge by edge.
     pub fn find_cycle(&self) -> Option<Vec<u32>> {
         #[derive(Clone, Copy, PartialEq)]
         enum Colour {
@@ -191,185 +141,141 @@ impl DiGraph {
     }
 }
 
-/// The channel-dependency graph of a topology under a routing function.
+/// The buffer-dependency graph of a topology under a classed routing
+/// function.
 ///
-/// Vertices are the topology's directed edges ("channels"); an arc `c₁ → c₂`
-/// records that some route uses channel `c₂` immediately after `c₁`, i.e. a
-/// request can hold a buffer on `c₁`'s head node while waiting for one on
-/// `c₂`'s head node.
+/// Vertices are *(channel, class)* buffers, vertex
+/// `class * channels.len() + channel`, where a channel is a directed
+/// topology edge and a class is an escape buffer class (see
+/// `crate::ldf::route_avoiding_classed`); plain channel-level analysis is
+/// the special case of one class. An arc `b₁ → b₂` records that some route
+/// uses buffer `b₂` immediately after `b₁`, i.e. a request can hold `b₁`
+/// while waiting for `b₂`.
+#[derive(Debug)]
 pub struct DependencyGraph {
-    channels: Vec<(NodeId, NodeId)>,
-    index: ChannelIndex,
-    graph: DiGraph,
+    /// Directed topology edges: node by node, each node's out-edges by
+    /// ascending target.
+    pub channels: Vec<(NodeId, NodeId)>,
+    /// Node `v`'s out-channels are ids `first[v] .. first[v + 1]`. The
+    /// whole of `channels` is sorted too, but one binary search over it
+    /// made the certifier about twice as slow at 1023 nodes as searching
+    /// only the node's own run.
+    first: Vec<u32>,
+    /// Escape classes modelled.
+    pub classes: u8,
+    /// The wait-for relation between `(channel, class)` buffers.
+    pub graph: DiGraph,
+    /// Hops over a pair of nodes that is **not** a topology edge, recorded
+    /// (sorted, deduplicated) by the certifier's routing walk for its
+    /// totality check; [`DependencyGraph::add_routes`] panics instead.
+    pub bad_edges: Vec<(NodeId, NodeId)>,
 }
 
 impl DependencyGraph {
-    /// Builds the dependency graph from the topology's own LDF routes over
-    /// *all* source/destination pairs.
-    pub fn from_topology(topo: &dyn VirtualTopology) -> Self {
-        Self::from_router(topo, |src, dst| topo.route(src, dst))
-    }
-
-    /// Builds the dependency graph from an arbitrary routing function —
-    /// used in tests to demonstrate that *non*-LDF orders produce cycles.
+    /// The arc-free graph over `topo`'s channels in `classes` classes.
     ///
     /// # Panics
-    /// Panics if a route uses a pair of nodes that is not a topology edge.
-    pub fn from_router<F>(topo: &dyn VirtualTopology, mut router: F) -> Self
-    where
-        F: FnMut(NodeId, NodeId) -> Vec<NodeId>,
-    {
-        Self::from_fallible_router(topo, |src, dst| Some(router(src, dst)))
-    }
-
-    /// Builds the dependency graph from a routing function that may decline
-    /// some pairs (`None` contributes no dependencies) — the shape of a
-    /// *route-around* router on a topology with dead nodes, where severed
-    /// pairs are reported as unreachable rather than routed.
-    ///
-    /// # Panics
-    /// Panics if a returned route uses a pair of nodes that is not a
-    /// topology edge.
-    pub fn from_fallible_router<F>(topo: &dyn VirtualTopology, mut router: F) -> Self
-    where
-        F: FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
-    {
-        let (channels, index) = channels_of(topo);
-        let graph = all_pairs_digraph(topo, &index, 1, |src, dst| {
-            router(src, dst).map(|route| route.into_iter().map(|hop| (hop, 0)))
-        });
+    /// Panics if `classes` is 0.
+    pub fn new(topo: &dyn VirtualTopology, classes: u8) -> Self {
+        assert!(classes >= 1, "need at least one buffer class");
+        let n = topo.num_nodes();
+        let mut channels = Vec::new();
+        let mut first = Vec::with_capacity(n as usize + 1);
+        for from in 0..n {
+            first.push(channels.len() as u32);
+            channels.extend(topo.out_neighbors(from).into_iter().map(|to| (from, to)));
+        }
+        first.push(channels.len() as u32);
         DependencyGraph {
+            graph: DiGraph::new(channels.len() * usize::from(classes)),
             channels,
-            index,
-            graph,
+            first,
+            classes,
+            bad_edges: Vec::new(),
         }
     }
 
-    /// The union of this dependency graph's arcs with `other`'s, over the
-    /// same topology. Models a routing *transition*: requests routed under
-    /// the old function are still in flight while new requests follow the
-    /// new one, so freedom from deadlock across the switch needs the union
-    /// to be acyclic (cf. re-proving deadlock freedom whenever next-hop
-    /// choice changes).
+    /// The graph of the topology's own LDF routes over *all*
+    /// source/destination pairs, in one class.
+    pub fn from_topology(topo: &dyn VirtualTopology) -> Self {
+        let mut dep = Self::new(topo, 1);
+        dep.add_routes(|src, dst| Some(topo.route(src, dst).into_iter().map(|hop| (hop, 0))));
+        dep
+    }
+
+    /// Routes every ordered pair of distinct nodes and adds an arc between
+    /// the buffers of each two consecutive hops. The router returns the
+    /// classed hops `(node, class)` of a pair, or `None` to decline it —
+    /// the shape of a *route-around* router on a topology with dead nodes,
+    /// where severed pairs are reported as unreachable rather than routed.
+    ///
+    /// Calling this again adds the arcs of another router, so the graph
+    /// becomes the union of both. That models a routing *transition*:
+    /// requests routed under the old function are still in flight while
+    /// new requests follow the new one, so freedom from deadlock across
+    /// the switch needs the union to be acyclic.
     ///
     /// # Panics
-    /// Panics if the two graphs were built over different channel sets.
-    pub fn union(mut self, other: &DependencyGraph) -> DependencyGraph {
-        assert_eq!(
-            self.channels, other.channels,
-            "dependency graphs over different topologies"
-        );
-        self.graph.merge_from(&other.graph);
-        self
+    /// Panics if a route uses a pair of nodes that is not a topology edge
+    /// or a class `>= self.classes`.
+    pub fn add_routes<F, R>(&mut self, mut router: F)
+    where
+        F: FnMut(NodeId, NodeId) -> Option<R>,
+        R: IntoIterator<Item = (NodeId, u8)>,
+    {
+        let n = (self.first.len() - 1) as NodeId;
+        for src in 0..n {
+            for dst in (0..n).filter(|&dst| dst != src) {
+                let Some(route) = router(src, dst) else {
+                    continue;
+                };
+                let mut prev: Option<u32> = None;
+                let mut cur = src;
+                for (hop, class) in route {
+                    let classes = self.classes;
+                    assert!(class < classes, "class {class} out of range 0..{classes}");
+                    let ch = self
+                        .channel(cur, hop)
+                        .unwrap_or_else(|| panic!("route uses non-edge {cur} -> {hop}"));
+                    let v = self.vertex(ch, class);
+                    if let Some(p) = prev {
+                        self.graph.add_edge(p, v);
+                    }
+                    prev = Some(v);
+                    cur = hop;
+                }
+            }
+        }
     }
 
-    /// Number of channels (topology edges).
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
+    /// Channel id of the edge `from -> to`, or `None` when it is not one.
+    #[inline]
+    pub fn channel(&self, from: NodeId, to: NodeId) -> Option<u32> {
+        let lo = *self.first.get(from as usize)?;
+        let hi = *self.first.get(from as usize + 1)?;
+        self.channels[lo as usize..hi as usize]
+            .binary_search_by_key(&to, |&(_, t)| t)
+            .ok()
+            .map(|i| lo + i as u32)
     }
 
-    /// The channel endpoints for channel id `c`.
-    pub fn channel(&self, c: u32) -> (NodeId, NodeId) {
-        self.channels[c as usize]
+    /// Vertex id of `(channel, class)`.
+    #[inline]
+    pub fn vertex(&self, channel: u32, class: u8) -> u32 {
+        u32::from(class) * self.channels.len() as u32 + channel
     }
 
-    /// Channel id of the edge `from → to`, if it exists.
-    pub fn channel_id(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        self.index.get(&(from, to)).copied()
-    }
-
-    /// The underlying dependency digraph.
-    pub fn graph(&self) -> &DiGraph {
-        &self.graph
+    /// Decomposes a vertex id back into `(channel endpoints, class)`.
+    pub fn decode(&self, v: u32) -> ((NodeId, NodeId), u8) {
+        let nch = self.channels.len() as u32;
+        (self.channels[(v % nch) as usize], (v / nch) as u8)
     }
 
     /// True when no cyclic buffer dependency exists — the routing order is
     /// deadlock-free.
     pub fn is_deadlock_free(&self) -> bool {
-        !self.graph.has_cycle()
+        self.graph.find_cycle().is_none()
     }
-}
-
-/// The buffer-dependency digraph of **classed** routes: each hop carries an
-/// escape buffer class (see `crate::ldf::route_avoiding_classed`), and the
-/// buffer resources are *(channel, class)* pairs — vertex
-/// `class * channel_count + channel`. Plain channel-level analysis is the
-/// special case `classes = 1` with every hop in class 0.
-///
-/// This is the model under which the route-around order is deadlock-free:
-/// rank `(class, dimension)` rises strictly along every classed route, so
-/// the digraph this returns must be acyclic for any dead set — a property
-/// the fault-injection tests check rather than assume.
-///
-/// The router may decline pairs (`None` contributes no dependencies).
-///
-/// # Panics
-/// Panics if a route uses a pair of nodes that is not a topology edge or a
-/// class `>= classes`.
-pub fn classed_dependency_digraph<F>(topo: &dyn VirtualTopology, classes: u8, router: F) -> DiGraph
-where
-    F: FnMut(NodeId, NodeId) -> Option<Vec<(NodeId, u8)>>,
-{
-    assert!(classes >= 1, "need at least one buffer class");
-    let (_, index) = channels_of(topo);
-    all_pairs_digraph(topo, &index, classes, router)
-}
-
-/// The topology's directed edges in `(from, out-neighbour)` order, and the
-/// channel id of each.
-fn channels_of(topo: &dyn VirtualTopology) -> (Vec<(NodeId, NodeId)>, ChannelIndex) {
-    let mut channels = Vec::new();
-    let mut index = HashMap::new();
-    for from in 0..topo.num_nodes() {
-        for to in topo.out_neighbors(from) {
-            index.insert((from, to), channels.len() as u32);
-            channels.push((from, to));
-        }
-    }
-    (channels, index)
-}
-
-/// Routes every ordered pair of distinct nodes and adds an arc between the
-/// `(channel, class)` buffers of each two consecutive hops; vertex
-/// `class * channel_count + channel`.
-fn all_pairs_digraph<F, R>(
-    topo: &dyn VirtualTopology,
-    index: &ChannelIndex,
-    classes: u8,
-    mut router: F,
-) -> DiGraph
-where
-    F: FnMut(NodeId, NodeId) -> Option<R>,
-    R: IntoIterator<Item = (NodeId, u8)>,
-{
-    let n = topo.num_nodes();
-    let channel_count = index.len() as u32;
-    let mut graph = DiGraph::new((channel_count as usize) * usize::from(classes));
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let Some(route) = router(src, dst) else {
-                continue;
-            };
-            let mut prev: Option<u32> = None;
-            let mut cur = src;
-            for (hop, class) in route {
-                assert!(class < classes, "class {class} out of range 0..{classes}");
-                let ch = *index
-                    .get(&(cur, hop))
-                    .unwrap_or_else(|| panic!("route uses non-edge {cur} -> {hop}"));
-                let v = u32::from(class) * channel_count + ch;
-                if let Some(p) = prev {
-                    graph.add_edge(p, v);
-                }
-                prev = Some(v);
-                cur = hop;
-            }
-        }
-    }
-    graph
 }
 
 #[cfg(test)]
@@ -383,10 +289,10 @@ mod tests {
         let mut g = DiGraph::new(3);
         g.add_edge(0, 1);
         g.add_edge(1, 2);
-        assert!(!g.has_cycle());
+        assert_eq!(g.find_cycle(), None);
         assert!(g.topological_order().is_some());
         g.add_edge(2, 0);
-        assert!(g.has_cycle());
+        assert!(g.find_cycle().is_some());
         assert!(g.topological_order().is_none());
     }
 
@@ -402,7 +308,6 @@ mod tests {
     fn self_loop_is_a_cycle() {
         let mut g = DiGraph::new(1);
         g.add_edge(0, 0);
-        assert!(g.has_cycle());
         assert_eq!(g.find_cycle(), Some(vec![0, 0]));
     }
 
@@ -467,7 +372,8 @@ mod tests {
         // X-then-Y for some pairs and Y-then-X for others on a full mesh.
         let t = Mfcg::new(9);
         let shape = t.shape().clone();
-        let dep = DependencyGraph::from_router(&t, |src, dst| {
+        let mut dep = DependencyGraph::new(&t, 1);
+        dep.add_routes(|src, dst| {
             let s = shape.coord_of(src);
             let d = shape.coord_of(dst);
             let mut hops = Vec::new();
@@ -478,10 +384,10 @@ mod tests {
             for dim in dims {
                 if cur.get(dim) != d.get(dim) {
                     cur.set(dim, d.get(dim));
-                    hops.push(shape.id_of(&cur));
+                    hops.push((shape.id_of(&cur), 0));
                 }
             }
-            hops
+            Some(hops)
         });
         assert!(!dep.is_deadlock_free());
     }
@@ -490,8 +396,9 @@ mod tests {
     fn fallible_router_skips_declined_pairs() {
         // A router that declines everything yields no arcs at all.
         let t = Mfcg::new(9);
-        let dep = DependencyGraph::from_fallible_router(&t, |_, _| None);
-        assert_eq!(dep.graph().edge_count(), 0);
+        let mut dep = DependencyGraph::new(&t, 1);
+        dep.add_routes(|_, _| None::<Vec<(u32, u8)>>);
+        assert_eq!(dep.graph.edge_count(), 0);
         assert!(dep.is_deadlock_free());
     }
 
@@ -504,11 +411,13 @@ mod tests {
         let t = TopologyKind::Cfcg.build(16);
         let shape = t.shape().clone();
         let dead = [0u32];
-        let around = DependencyGraph::from_fallible_router(&t, |src, dst| {
+        let mut around = DependencyGraph::new(&t, 1);
+        around.add_routes(|src, dst| {
             if dead.contains(&src) || dead.contains(&dst) {
                 return None;
             }
-            ldf::route_avoiding(&shape, 16, src, dst, &dead)
+            let route = ldf::route_avoiding(&shape, 16, src, dst, &dead)?;
+            Some(route.into_iter().map(|hop| (hop, 0)))
         });
         assert!(
             !around.is_deadlock_free(),
@@ -537,30 +446,27 @@ mod tests {
                 let t = kind.build(n);
                 let shape = t.shape().clone();
                 let classes = shape.ndims() as u8;
-                let healthy = classed_dependency_digraph(&t, classes, |src, dst| {
-                    Some(
-                        ldf::route(&shape, n, src, dst)
-                            .into_iter()
-                            .map(|h| (h, 0))
-                            .collect(),
-                    )
-                });
-                assert!(!healthy.has_cycle());
+                let healthy =
+                    |src, dst| Some(ldf::route(&shape, n, src, dst).into_iter().map(|h| (h, 0)));
+                let mut alone = DependencyGraph::new(&t, classes);
+                alone.add_routes(healthy);
+                assert!(alone.is_deadlock_free());
                 for victim in [0u32, n / 2, n - 1] {
                     let dead = [victim];
-                    let mut around = classed_dependency_digraph(&t, classes, |src, dst| {
+                    let mut around = DependencyGraph::new(&t, classes);
+                    around.add_routes(|src, dst| {
                         if dead.contains(&src) || dead.contains(&dst) {
                             return None;
                         }
                         ldf::route_avoiding_classed(&shape, n, src, dst, &dead)
                     });
                     assert!(
-                        !around.has_cycle(),
+                        around.is_deadlock_free(),
                         "{kind}/{n} classed route-around past {victim} cycles"
                     );
-                    around.merge_from(&healthy);
+                    around.add_routes(healthy);
                     assert!(
-                        !around.has_cycle(),
+                        around.is_deadlock_free(),
                         "{kind}/{n} transition past {victim} cycles"
                     );
                 }
@@ -570,7 +476,7 @@ mod tests {
 
     #[test]
     fn union_of_conflicting_orders_is_cyclic() {
-        // Sanity-check that `union` actually detects transition hazards:
+        // Sanity-check that a second `add_routes` detects transition hazards:
         // X-then-Y and Y-then-X are each deadlock-free alone, but their
         // union contains both orderings and cycles.
         let t = Mfcg::new(9);
@@ -584,38 +490,49 @@ mod tests {
                 for dim in dims {
                     if cur.get(dim) != d.get(dim) {
                         cur.set(dim, d.get(dim));
-                        hops.push(shape.id_of(&cur));
+                        hops.push((shape.id_of(&cur), 0));
                     }
                 }
-                hops
+                Some(hops)
             }
         };
-        let xy = DependencyGraph::from_router(&t, router([0, 1]));
-        let yx = DependencyGraph::from_router(&t, router([1, 0]));
+        let mut xy = DependencyGraph::new(&t, 1);
+        xy.add_routes(router([0, 1]));
+        let mut yx = DependencyGraph::new(&t, 1);
+        yx.add_routes(router([1, 0]));
         assert!(xy.is_deadlock_free());
         assert!(yx.is_deadlock_free());
-        assert!(!xy.union(&yx).is_deadlock_free());
+        xy.add_routes(router([1, 0]));
+        assert!(!xy.is_deadlock_free());
     }
 
     #[test]
-    #[should_panic(expected = "different topologies")]
-    fn union_over_different_topologies_panics() {
-        let a = DependencyGraph::from_topology(&Mfcg::new(9));
-        let b = DependencyGraph::from_topology(&Mfcg::new(16));
-        let _ = a.union(&b);
+    #[should_panic(expected = "route uses non-edge 0 -> 4")]
+    fn non_edge_hop_panics() {
+        // 0 -> 4 on a 3x3 mesh changes both coordinates: not an edge.
+        let mut dep = DependencyGraph::new(&Mfcg::new(9), 1);
+        dep.add_routes(|_, dst| Some([(dst.max(4), 0u8)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "class 1 out of range 0..1")]
+    fn class_out_of_range_panics() {
+        let mut dep = DependencyGraph::new(&Mfcg::new(9), 1);
+        dep.add_routes(|_, dst| Some([(dst, 1u8)]));
     }
 
     #[test]
     fn channel_lookup_roundtrips() {
         let t = Cfcg::new(27);
         let dep = DependencyGraph::from_topology(&t);
-        assert_eq!(dep.channel_count(), 27 * 6);
-        for c in 0..dep.channel_count() as u32 {
-            let (from, to) = dep.channel(c);
+        assert_eq!(dep.channels.len(), 27 * 6);
+        for (c, &(from, to)) in dep.channels.iter().enumerate() {
             assert!(t.has_edge(from, to));
-            assert_eq!(dep.channel_id(from, to), Some(c));
+            assert_eq!(dep.channel(from, to), Some(c as u32));
+            assert_eq!(dep.decode(dep.vertex(c as u32, 0)), ((from, to), 0));
         }
-        assert_eq!(dep.channel_id(0, 0), None);
+        assert_eq!(dep.channel(0, 0), None);
+        assert_eq!(dep.channel(27, 0), None);
     }
 
     #[test]
@@ -623,7 +540,7 @@ mod tests {
         // Single-hop routes create no dependencies at all.
         let t = TopologyKind::Fcg.build(8);
         let dep = DependencyGraph::from_topology(&t);
-        assert_eq!(dep.graph().edge_count(), 0);
+        assert_eq!(dep.graph.edge_count(), 0);
         assert!(dep.is_deadlock_free());
     }
 }

@@ -128,8 +128,8 @@ pub enum HopDecision {
 /// partial-slice skips of extended LDF fix a lower dimension after a
 /// higher one), so those hops escalate too: MFCG over 3 nodes routes
 /// 2 → 1 as `[(0, 0), (1, 1)]`. The argument is additionally *checked*,
-/// not assumed, by [`crate::graph::classed_dependency_digraph`] cycle tests
-/// over sampled and randomised dead sets.
+/// not assumed, by cycle tests of [`crate::DependencyGraph`] in escape
+/// classes over sampled and randomised dead sets.
 ///
 /// Unlike plain extended LDF, a legal hop is **not** guaranteed to exist:
 /// when only one dimension differs, the sole candidate hop *is* the

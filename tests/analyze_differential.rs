@@ -7,10 +7,10 @@
 //! Kahn topological sort written in this test.
 
 use proptest::prelude::*;
-use vt_analyze::depgraph::{self, DepGraph};
+use vt_analyze::depgraph;
 use vt_analyze::AnalyzeConfig;
 use vt_armci::{Action, FaultPlan, Op, Rank, RuntimeConfig, ScriptProgram, Simulation};
-use vt_core::TopologyKind;
+use vt_core::{DependencyGraph, TopologyKind};
 use vt_simnet::SimTime;
 
 /// One random workload over one random configuration.
@@ -105,7 +105,7 @@ fn program_of(spec: &Spec, rank: Rank) -> ScriptProgram {
 
 /// Independent cycle detector: Kahn's algorithm over the analyzer's
 /// dependency graph, sharing no code with `DiGraph::find_cycle`.
-fn kahn_has_cycle(dg: &DepGraph) -> bool {
+fn kahn_has_cycle(dg: &DependencyGraph) -> bool {
     let n = dg.graph.len();
     let mut indeg = vec![0usize; n];
     for v in 0..n as u32 {
@@ -180,7 +180,8 @@ proptest! {
             while gcd(step, n) != 1 {
                 step -= 1;
             }
-            depgraph::build_with_router(&topo, 1, |src, dst| {
+            let mut dg = DependencyGraph::new(&topo, 1);
+            dg.add_routes(|src, dst| {
                 let mut route = Vec::new();
                 let mut cur = src;
                 while cur != dst {
@@ -188,11 +189,12 @@ proptest! {
                     route.push((cur, 0u8));
                 }
                 Some(route)
-            })
+            });
+            dg
         } else {
             depgraph::walk(&topo, &[], false).dg
         };
-        let witness = dg.find_cycle_witness();
+        let witness = depgraph::cycle_witness(&dg);
         prop_assert_eq!(
             witness.is_some(),
             kahn_has_cycle(&dg),

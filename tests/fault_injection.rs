@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use vt_armci::{Action, FaultPlan, Op, Rank, Report, RuntimeConfig, ScriptProgram, Simulation};
-use vt_core::{graph, ldf, TopologyKind, VirtualTopology};
+use vt_core::{ldf, DependencyGraph, TopologyKind, VirtualTopology};
 use vt_simnet::SimTime;
 
 /// One random faulted workload: a hot-spot fetch-&-add/accumulate mix over
@@ -247,14 +247,15 @@ proptest! {
         }
         dead.sort_unstable();
         let classes = ndims.max(1);
-        let g = graph::classed_dependency_digraph(&topo, classes, |src, dst| {
+        let mut g = DependencyGraph::new(&topo, classes);
+        g.add_routes(|src, dst| {
             if dead.binary_search(&src).is_ok() || dead.binary_search(&dst).is_ok() {
                 return None;
             }
             ldf::route_avoiding_classed(&shape, n, src, dst, &dead)
         });
         prop_assert!(
-            !g.has_cycle(),
+            g.is_deadlock_free(),
             "{}/{} route-around past {:?} creates a credit cycle",
             kind.name(), n, dead
         );
