@@ -66,6 +66,10 @@ impl LoadPhase {
     }
 }
 
+/// The highest arrival rate per client, arrivals per second, a process may
+/// reach: one per nanosecond, the resolution of the arrival clock.
+const MAX_RATE_PER_SEC: f64 = 1e9;
+
 /// A deterministic description of per-client offered load.
 ///
 /// Rates are *per client*: each rank runs its own [`ArrivalGen`] on a forked
@@ -189,6 +193,10 @@ impl ArrivalProcess {
 
     /// Checks that the parameters describe a usable process.
     ///
+    /// The peak rate may not exceed 1e9 arrivals/s per client: above it
+    /// [`ArrivalGen::next_arrival`] would clamp gaps to 1 ns and offer a
+    /// different process from the one described.
+    ///
     /// # Errors
     /// Names the first unusable parameter.
     pub fn check(&self) -> Result<(), String> {
@@ -197,6 +205,15 @@ impl ArrivalProcess {
         }
         if !(self.peak >= 1.0 && self.peak.is_finite()) {
             return Err("peak multiplier must be >= 1".to_string());
+        }
+        let top = match self.kind {
+            ArrivalKind::Steady => self.rate_per_sec,
+            ArrivalKind::Diurnal | ArrivalKind::FlashCrowd => self.rate_per_sec * self.peak,
+        };
+        if top > MAX_RATE_PER_SEC {
+            return Err(format!(
+                "peak arrival rate {top:e}/s per client exceeds 1e9/s (one arrival per ns)"
+            ));
         }
         if self.kind != ArrivalKind::Steady && self.period == SimTime::ZERO {
             return Err("diurnal period / spike start must be positive".to_string());
@@ -351,5 +368,25 @@ mod tests {
         q.peak = 2.0;
         q.period = SimTime::ZERO;
         assert!(std::panic::catch_unwind(|| q.validate()).is_err());
+    }
+
+    #[test]
+    fn peak_rate_above_one_per_ns_is_refused() {
+        assert!(ArrivalProcess::steady(MAX_RATE_PER_SEC).check().is_ok());
+        let err = ArrivalProcess::steady(2e9).check().unwrap_err();
+        assert!(err.contains("2e9/s per client exceeds 1e9/s"), "{err}");
+        // The bound applies to `rate × peak`, the top of the curve.
+        let at = SimTime::from_millis(1);
+        assert!(ArrivalProcess::flash_crowd(1e8, 10.0, at, at)
+            .check()
+            .is_ok());
+        assert!(ArrivalProcess::flash_crowd(1e8, 11.0, at, at)
+            .check()
+            .is_err());
+        assert!(ArrivalProcess::diurnal(1e8, 11.0, at).check().is_err());
+        // A steady process never reaches its (unused) peak multiplier.
+        let mut steady = ArrivalProcess::steady(1e8);
+        steady.peak = 11.0;
+        assert!(steady.check().is_ok());
     }
 }

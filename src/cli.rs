@@ -1658,7 +1658,7 @@ mod tests {
 
     #[test]
     fn degenerate_counts_and_curve_points_are_errors_not_panics() {
-        let cases: [(&str, &[&str], &str); 16] = [
+        let cases: [(&str, &[&str], &str); 18] = [
             ("contention", &["--procs", "0"], "--procs"),
             ("contention", &["--ppn", "0"], "--ppn"),
             ("contention", &["--procs", "64", "--ppn", "128"], "--procs"),
@@ -1679,6 +1679,16 @@ mod tests {
             ),
             ("memory", &["--ppn", "0"], "--ppn"),
             ("bench", &["--repeats", "0"], "--repeats"),
+            (
+                "serve",
+                &["--rate", "1e12", "--horizon-us", "100"],
+                "exceeds 1e9/s",
+            ),
+            (
+                "serve",
+                &["--curve", "1e9", "--horizon-us", "100"],
+                "'1e9' in --curve: peak arrival rate",
+            ),
         ];
         for (cmd, args, flag) in cases {
             assert_refused(cmd, args, flag);
