@@ -24,11 +24,6 @@ impl Series {
         }
     }
 
-    /// The y value at the largest x, if any.
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|&(_, y)| y)
-    }
-
     /// Mean of the y values (0 for an empty series).
     pub fn mean_y(&self) -> f64 {
         if self.points.is_empty() {
@@ -165,7 +160,6 @@ mod tests {
     #[test]
     fn series_stats() {
         let s = Series::new("fcg", vec![(1.0, 10.0), (2.0, 20.0)]);
-        assert_eq!(s.last_y(), Some(20.0));
         assert_eq!(s.mean_y(), 15.0);
         assert_eq!(Series::new("e", vec![]).mean_y(), 0.0);
     }

@@ -26,11 +26,6 @@ impl Layout {
         Layout { n_procs, ppn }
     }
 
-    /// Total number of ranks.
-    pub fn num_procs(&self) -> u32 {
-        self.n_procs
-    }
-
     /// Processes per (full) node.
     pub fn ppn(&self) -> u32 {
         self.ppn
@@ -45,12 +40,6 @@ impl Layout {
     pub fn node_of(&self, rank: Rank) -> NodeId {
         assert!(rank.0 < self.n_procs, "{rank} out of range");
         rank.0 / self.ppn
-    }
-
-    /// Master rank (lowest) of `node`.
-    pub fn master_of(&self, node: NodeId) -> Rank {
-        assert!(node < self.num_nodes(), "node {node} out of range");
-        Rank(node * self.ppn)
     }
 
     /// All ranks on `node`, ascending.
@@ -85,7 +74,7 @@ mod tests {
         assert_eq!(l.node_of(Rank(3)), 0);
         assert_eq!(l.node_of(Rank(4)), 1);
         assert_eq!(l.node_of(Rank(11)), 2);
-        assert_eq!(l.master_of(2), Rank(8));
+        assert_eq!(l.ranks_on(2).next(), Some(Rank(8)));
     }
 
     #[test]

@@ -76,16 +76,6 @@ impl MemoryModel {
     pub fn increment_bytes(&self, topo: &dyn VirtualTopology, node: NodeId) -> u64 {
         self.master_vmrss_bytes(topo, node) - self.base_process_bytes
     }
-
-    /// Total number of processes implied by the topology size.
-    pub fn total_procs(&self, topo: &dyn VirtualTopology) -> u64 {
-        u64::from(topo.num_nodes()) * u64::from(self.procs_per_node)
-    }
-}
-
-/// Convenience: bytes as mebibytes, for report output.
-pub fn to_mib(bytes: u64) -> f64 {
-    bytes as f64 / (1024.0 * 1024.0)
 }
 
 #[cfg(test)]
@@ -108,7 +98,7 @@ mod tests {
         assert_eq!(m.cht_pool_bytes(&t, 0), expected);
         // ~768 MiB of pure buffers at 12 288 processes, in line with the
         // paper's 812 MiB VmRSS increment.
-        assert!((to_mib(expected) - 768.0).abs() < 1.0);
+        assert!((expected as f64 / (1024.0 * 1024.0) - 768.0).abs() < 1.0);
     }
 
     #[test]
@@ -165,11 +155,5 @@ mod tests {
         let t = Fcg::new(1);
         assert_eq!(m.master_vmrss_bytes(&t, 0), m.base_process_bytes);
         assert_eq!(m.increment_bytes(&t, 0), 0);
-    }
-
-    #[test]
-    fn total_procs_counts_all_nodes() {
-        let m = model();
-        assert_eq!(m.total_procs(&Fcg::new(1024)), 12288);
     }
 }

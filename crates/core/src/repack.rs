@@ -103,11 +103,6 @@ impl SurvivorPacking {
         self.node_of.len() as u32
     }
 
-    /// Size of the original population the packing was derived from.
-    pub fn num_total(&self) -> u32 {
-        self.slot_of.len() as u32
-    }
-
     /// The dense slot of physical node `node`, or `None` when it is dead
     /// or out of range.
     pub fn slot_of(&self, node: NodeId) -> Option<u32> {
@@ -238,7 +233,6 @@ mod tests {
     fn survivors_are_renumbered_densely_in_order() {
         let p = repack(TopologyKind::Mfcg, 9, &[3, 7]).unwrap();
         assert_eq!(p.num_live(), 7);
-        assert_eq!(p.num_total(), 9);
         assert_eq!(p.slot_of(0), Some(0));
         assert_eq!(p.slot_of(3), None);
         assert_eq!(p.slot_of(4), Some(3));

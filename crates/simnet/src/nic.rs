@@ -189,11 +189,6 @@ impl Nic {
         (done, !hit)
     }
 
-    /// Time at which the transmit engine frees up.
-    pub fn tx_busy_until(&self) -> SimTime {
-        self.tx_busy
-    }
-
     /// Time at which the receive engine frees up.
     pub fn rx_busy_until(&self) -> SimTime {
         self.rx_busy

@@ -1,108 +1,23 @@
 //! Summary statistics for simulation measurements.
 
-use crate::time::SimTime;
-
-/// Online mean/variance/min/max accumulator (Welford's algorithm), used for
-/// per-rank latency summaries without storing every sample.
+/// Online running mean (Welford's update), used for per-rank latency
+/// summaries without storing every sample.
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds one sample.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Adds a simulated-time sample in microseconds.
-    pub fn push_time_us(&mut self, t: SimTime) {
-        self.push(t.as_micros_f64());
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Arithmetic mean, or 0 for an empty summary.
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n−1 denominator), or 0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, or 0 for an empty summary.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0 for an empty summary.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        self.m2 += other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.mean = mean;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.mean
     }
 }
 
@@ -135,67 +50,27 @@ mod tests {
 
     #[test]
     fn summary_basic_moments() {
-        let mut s = Summary::new();
+        let mut s = Summary::default();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.push(x);
         }
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
     }
 
     #[test]
     fn empty_summary_is_zeroes() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
+        assert_eq!(Summary::default().mean(), 0.0);
     }
 
     #[test]
-    fn merge_matches_bulk() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * i % 37) as f64).collect();
-        let mut all = Summary::new();
-        for &x in &xs {
-            all.push(x);
+    fn running_mean_is_welfords_bit_for_bit() {
+        // Replay digests hash the mean's bits, so the update order is part
+        // of the contract: the naive sum / count differs here by one ulp.
+        let mut s = Summary::default();
+        for i in 1..40 {
+            s.push(0.1 * i as f64 * i as f64 + 1.0 / (i as f64 + 1.0));
         }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 3 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::new();
-        a.push(3.0);
-        let before = a.clone();
-        a.merge(&Summary::new());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = Summary::new();
-        empty.merge(&before);
-        assert_eq!(empty.mean(), 3.0);
-    }
-
-    #[test]
-    fn push_time_us_converts() {
-        let mut s = Summary::new();
-        s.push_time_us(SimTime::from_micros(250));
-        assert_eq!(s.mean(), 250.0);
+        assert_eq!(s.mean().to_bits(), 0x404a_6017_fb64_db1d);
     }
 
     #[test]
