@@ -125,24 +125,27 @@ fn runtime_config(cfg: &FaultScenarioConfig) -> RuntimeConfig {
     rt
 }
 
+/// The staggered hot-spot script of the fault and repair scenarios: every
+/// rank but `hot` computes for `2 + rank % 7` µs, then issues `ops`
+/// fetch-&-adds at `hot`; `hot` itself issues nothing. The short stagger
+/// keeps every rank alive past t = 0 so a crash always finds work in
+/// flight.
+pub(crate) fn hot_spot_script(rank: Rank, hot: Rank, ops: u32) -> ScriptProgram {
+    let mut script = Vec::new();
+    if rank != hot {
+        script.push(Action::Compute(SimTime::from_micros(
+            2 + u64::from(rank.0 % 7),
+        )));
+        script.extend((0..ops).map(|_| Action::Op(vt_armci::Op::fetch_add(hot, 1))));
+    }
+    ScriptProgram::new(script)
+}
+
 fn build(cfg: &FaultScenarioConfig, plan: &FaultPlan) -> Simulation {
     let ops = cfg.ops_per_rank;
     Simulation::build_with_faults(
         runtime_config(cfg),
-        move |rank| {
-            let mut script = Vec::new();
-            if rank != Rank(0) {
-                // A short stagger keeps every rank alive past t = 0 so a
-                // crash always finds work in flight.
-                script.push(Action::Compute(SimTime::from_micros(
-                    2 + u64::from(rank.0 % 7),
-                )));
-                for _ in 0..ops {
-                    script.push(Action::Op(vt_armci::Op::fetch_add(Rank(0), 1)));
-                }
-            }
-            ScriptProgram::new(script)
-        },
+        move |rank| hot_spot_script(rank, Rank(0), ops),
         plan,
     )
 }

@@ -22,8 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 use vt_armci::{
-    Action, FaultPlan, MembershipConfig, Rank, RepairStats, RuntimeConfig, ScriptProgram, SimTime,
-    Simulation,
+    FaultPlan, MembershipConfig, Rank, RepairStats, RuntimeConfig, SimTime, Simulation,
 };
 use vt_core::{fallback_ladder, TopologyKind};
 
@@ -137,20 +136,7 @@ fn build(cfg: &RepairScenarioConfig, rt: RuntimeConfig, plan: &FaultPlan) -> Sim
     let hot = cfg.hot_rank();
     Simulation::build_with_faults(
         rt,
-        move |rank| {
-            let mut script = Vec::new();
-            if rank != hot {
-                // A short stagger keeps every rank alive past t = 0 so
-                // the crash always finds traffic in flight.
-                script.push(Action::Compute(SimTime::from_micros(
-                    2 + u64::from(rank.0 % 7),
-                )));
-                for _ in 0..ops {
-                    script.push(Action::Op(vt_armci::Op::fetch_add(hot, 1)));
-                }
-            }
-            ScriptProgram::new(script)
-        },
+        move |rank| crate::faults::hot_spot_script(rank, hot, ops),
         plan,
     )
 }
