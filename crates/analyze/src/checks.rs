@@ -35,9 +35,9 @@ pub fn check_acyclic(dg: &DependencyGraph) -> (CheckResult, Option<crate::CycleW
                 "acyclicity",
                 format!(
                     "wait-for relation over {} channels x {} classes ({} arcs) is acyclic",
-                    dg.channels.len(),
-                    dg.classes,
-                    dg.graph.edge_count()
+                    dg.channels().len(),
+                    dg.classes(),
+                    dg.graph().edge_count()
                 ),
             ),
             None,
@@ -197,7 +197,7 @@ pub fn check_coalescing(topo: &Grid, dead: &[u32], walk: &Walk) -> CheckResult {
     let dg = &walk.dg;
     let mut checked = 0u64;
     for &(ch, class, dest) in &walk.arrivals {
-        let (from, at) = dg.channels[ch as usize];
+        let (from, at) = dg.channels()[ch as usize];
         // Arrivals harvested under an earlier crash prefix may pass
         // through a node that is dead in the final set; those envelopes
         // can no longer exist once the crash lands.
@@ -218,7 +218,7 @@ pub fn check_coalescing(topo: &Grid, dead: &[u32], walk: &Walk) -> CheckResult {
             );
         };
         if !dg
-            .graph
+            .graph()
             .successors(dg.vertex(ch, class))
             .contains(&dg.vertex(out_ch, next_class))
         {

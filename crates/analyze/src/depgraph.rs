@@ -100,15 +100,15 @@ impl Walk {
                 self.dg.bad_edges.push((cur, hop));
                 return Err(format!("{src}->{dst} hops off-topology {cur}->{hop}"));
             };
-            if c >= self.dg.classes {
+            if c >= self.dg.classes() {
                 return Err(format!(
                     "{src}->{dst} escalates to class {c} (modelled {})",
-                    self.dg.classes
+                    self.dg.classes()
                 ));
             }
             let v = self.dg.vertex(ch, c);
             if let Some(p) = prev_vertex {
-                self.dg.graph.add_edge(p, v);
+                self.dg.add_arc(p, v);
             }
             if refolds && hop != dst {
                 self.arrivals.push((ch, c, dst));
@@ -202,7 +202,7 @@ pub fn walk(topo: &Grid, dead_sequence: &[u32], refolds: bool) -> Walk {
 /// A cycle in `dg`'s wait-for relation, decoded into a witness the
 /// report layer can render as DOT — or `None`, the certificate.
 pub fn cycle_witness(dg: &DependencyGraph) -> Option<CycleWitness> {
-    let cycle = dg.graph.find_cycle()?;
+    let cycle = dg.graph().find_cycle()?;
     Some(CycleWitness {
         hops: cycle.iter().map(|&v| dg.decode(v)).collect(),
     })
@@ -219,11 +219,11 @@ mod tests {
         let topo = TopologyKind::Cfcg.build(27);
         let dg = walk(&topo, &[], false).dg;
         assert!(dg.bad_edges.is_empty());
-        let nch = dg.channels.len() as u32;
+        let nch = dg.channels().len() as u32;
         // No arc may leave class 0 without a dead set.
-        for v in 0..dg.graph.len() as u32 {
+        for v in 0..dg.graph().len() as u32 {
             if v >= nch {
-                assert!(dg.graph.successors(v).is_empty());
+                assert!(dg.graph().successors(v).is_empty());
             }
         }
         assert!(cycle_witness(&dg).is_none());
@@ -234,10 +234,10 @@ mod tests {
         let topo = TopologyKind::Cfcg.build(27);
         let dg = walk(&topo, &[1], false).dg;
         assert!(dg.bad_edges.is_empty());
-        let nch = dg.channels.len() as u32;
-        let has_escape = (0..dg.graph.len() as u32).any(|v| {
-            (v >= nch && !dg.graph.successors(v).is_empty())
-                || dg.graph.successors(v).iter().any(|&s| s >= nch)
+        let nch = dg.channels().len() as u32;
+        let has_escape = (0..dg.graph().len() as u32).any(|v| {
+            (v >= nch && !dg.graph().successors(v).is_empty())
+                || dg.graph().successors(v).iter().any(|&s| s >= nch)
         });
         assert!(has_escape, "killing a forwarder must engage escape classes");
         assert!(cycle_witness(&dg).is_none());

@@ -145,7 +145,7 @@ impl DiGraph {
 /// function.
 ///
 /// Vertices are *(channel, class)* buffers, vertex
-/// `class * channels.len() + channel`, where a channel is a directed
+/// `class * channel count + channel`, where a channel is a directed
 /// topology edge and a class is an escape buffer class (see
 /// `crate::ldf::route_avoiding_classed`); plain channel-level analysis is
 /// the special case of one class. An arc `b₁ → b₂` records that some route
@@ -155,16 +155,14 @@ impl DiGraph {
 pub struct DependencyGraph {
     /// Directed topology edges: node by node, each node's out-edges by
     /// ascending target.
-    pub channels: Vec<(NodeId, NodeId)>,
+    channels: Vec<(NodeId, NodeId)>,
     /// Node `v`'s out-channels are ids `first[v] .. first[v + 1]`. The
     /// whole of `channels` is sorted too, but one binary search over it
     /// made the certifier about twice as slow at 1023 nodes as searching
     /// only the node's own run.
     first: Vec<u32>,
-    /// Escape classes modelled.
-    pub classes: u8,
-    /// The wait-for relation between `(channel, class)` buffers.
-    pub graph: DiGraph,
+    classes: u8,
+    graph: DiGraph,
     /// Hops over a pair of nodes that is **not** a topology edge, recorded
     /// (sorted, deduplicated) by the certifier's routing walk for its
     /// totality check; [`DependencyGraph::add_routes`] panics instead.
@@ -246,6 +244,29 @@ impl DependencyGraph {
                 }
             }
         }
+    }
+
+    /// The channels, by id: node by node, each node's out-edges by
+    /// ascending target.
+    pub fn channels(&self) -> &[(NodeId, NodeId)] {
+        &self.channels
+    }
+
+    /// Number of escape classes modelled.
+    pub fn classes(&self) -> u8 {
+        self.classes
+    }
+
+    /// The wait-for relation between `(channel, class)` buffers.
+    pub fn graph(&self) -> &DiGraph {
+        &self.graph
+    }
+
+    /// Adds the wait-for arc between the buffers of vertices `from` and
+    /// `to` (see [`DependencyGraph::vertex`]).
+    #[inline]
+    pub fn add_arc(&mut self, from: u32, to: u32) {
+        self.graph.add_edge(from, to);
     }
 
     /// Channel id of the edge `from -> to`, or `None` when it is not one.
@@ -398,7 +419,7 @@ mod tests {
         let t = Mfcg::new(9);
         let mut dep = DependencyGraph::new(&t, 1);
         dep.add_routes(|_, _| None::<Vec<(u32, u8)>>);
-        assert_eq!(dep.graph.edge_count(), 0);
+        assert_eq!(dep.graph().edge_count(), 0);
         assert!(dep.is_deadlock_free());
     }
 
@@ -525,8 +546,8 @@ mod tests {
     fn channel_lookup_roundtrips() {
         let t = Cfcg::new(27);
         let dep = DependencyGraph::from_topology(&t);
-        assert_eq!(dep.channels.len(), 27 * 6);
-        for (c, &(from, to)) in dep.channels.iter().enumerate() {
+        assert_eq!(dep.channels().len(), 27 * 6);
+        for (c, &(from, to)) in dep.channels().iter().enumerate() {
             assert!(t.has_edge(from, to));
             assert_eq!(dep.channel(from, to), Some(c as u32));
             assert_eq!(dep.decode(dep.vertex(c as u32, 0)), ((from, to), 0));
@@ -540,7 +561,7 @@ mod tests {
         // Single-hop routes create no dependencies at all.
         let t = TopologyKind::Fcg.build(8);
         let dep = DependencyGraph::from_topology(&t);
-        assert_eq!(dep.graph.edge_count(), 0);
+        assert_eq!(dep.graph().edge_count(), 0);
         assert!(dep.is_deadlock_free());
     }
 }

@@ -49,8 +49,8 @@ fn main() {
             println!(
                 "{n:>10}  {:8}  {:>8}  {:>8}  {:>7}  {storm}",
                 kind.name(),
-                dep.channels.len(),
-                dep.graph.edge_count(),
+                dep.channels().len(),
+                dep.graph().edge_count(),
                 acyclic,
             );
             assert!(acyclic, "dependency cycle found for {kind} over {n} nodes");

@@ -385,8 +385,8 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 stats.max_route_hops,
                 tree.height(),
                 tree.root_fan_in(),
-                dep.channels.len(),
-                dep.graph.edge_count(),
+                dep.channels().len(),
+                dep.graph().edge_count(),
                 dep.is_deadlock_free(),
             )
         }

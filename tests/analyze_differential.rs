@@ -106,10 +106,10 @@ fn program_of(spec: &Spec, rank: Rank) -> ScriptProgram {
 /// Independent cycle detector: Kahn's algorithm over the analyzer's
 /// dependency graph, sharing no code with `DiGraph::find_cycle`.
 fn kahn_has_cycle(dg: &DependencyGraph) -> bool {
-    let n = dg.graph.len();
+    let n = dg.graph().len();
     let mut indeg = vec![0usize; n];
     for v in 0..n as u32 {
-        for &s in dg.graph.successors(v) {
+        for &s in dg.graph().successors(v) {
             indeg[s as usize] += 1;
         }
     }
@@ -117,7 +117,7 @@ fn kahn_has_cycle(dg: &DependencyGraph) -> bool {
     let mut removed = 0usize;
     while let Some(v) = queue.pop() {
         removed += 1;
-        for &s in dg.graph.successors(v) {
+        for &s in dg.graph().successors(v) {
             indeg[s as usize] -= 1;
             if indeg[s as usize] == 0 {
                 queue.push(s);
@@ -204,17 +204,17 @@ proptest! {
             prop_assert!(miswire, "the engine's own routing must stay acyclic");
             prop_assert_eq!(w.hops.first(), w.hops.last(), "walk must close");
             prop_assert!(w.len() >= 2);
-            let nch = dg.channels.len() as u32;
+            let nch = dg.channels().len() as u32;
             for pair in w.hops.windows(2) {
                 let ((f1, t1), c1) = pair[0];
                 let ((f2, t2), c2) = pair[1];
                 prop_assert_eq!(t1, f2, "consecutive wait-for hops must chain");
                 let v1 = u32::from(c1) * nch
-                    + dg.channels.iter().position(|&e| e == (f1, t1)).unwrap() as u32;
+                    + dg.channels().iter().position(|&e| e == (f1, t1)).unwrap() as u32;
                 let v2 = u32::from(c2) * nch
-                    + dg.channels.iter().position(|&e| e == (f2, t2)).unwrap() as u32;
+                    + dg.channels().iter().position(|&e| e == (f2, t2)).unwrap() as u32;
                 prop_assert!(
-                    dg.graph.successors(v1).contains(&v2),
+                    dg.graph().successors(v1).contains(&v2),
                     "witness step ({f1}->{t1} c{c1}) -> ({f2}->{t2} c{c2}) is not a graph arc"
                 );
             }

@@ -60,7 +60,7 @@ proptest! {
             let dep = DependencyGraph::from_topology(&topo);
             prop_assert!(dep.is_deadlock_free(), "{kind} over {n} nodes has a cycle");
             // And being acyclic it must have a topological order.
-            prop_assert!(dep.graph.topological_order().is_some());
+            prop_assert!(dep.graph().topological_order().is_some());
         }
     }
 
