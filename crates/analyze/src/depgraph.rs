@@ -28,10 +28,10 @@
 //! The walk builds into [`vt_core::DependencyGraph`], the same graph
 //! `vtsim topo` and the deadlock tests build from router closures, so
 //! channel numbering, the vertex formula and the dense per-node channel
-//! index exist once. The walk differs from
-//! [`DependencyGraph::add_routes`] only where the certifier must not
-//! panic: a non-edge hop is recorded in `bad_edges` for the totality
-//! check.
+//! index exist once. It adds arcs hop by hop instead of through
+//! [`DependencyGraph::add_routes`] because it also takes each route's
+//! length, failure and arrivals, and because the certifier must record a
+//! non-edge hop in `bad_edges` for the totality check rather than panic.
 
 use crate::CycleWitness;
 use vt_armci::forward_decision;
