@@ -927,6 +927,71 @@ mod tests {
     }
 
     #[test]
+    fn forward_parked_across_a_reboot_dies_with_its_node() {
+        // 3x3 MFCG at 1 ppn: rank 8's fetch-add to rank 0 is forwarded
+        // once, by the first hop `f`.
+        let mut cfg = small_cfg(9, TopologyKind::Mfcg);
+        cfg.procs_per_node = 1;
+        let idle = || {
+            (0..9)
+                .map(|_| Box::new(ScriptProgram::new(vec![])) as Box<dyn Program>)
+                .collect()
+        };
+        let (f, _, _) = Engine::new(cfg, idle()).next_hop(8, 8, 0, 0).unwrap();
+        let (crash, reboot) = (SimTime::from_micros(10), SimTime::from_micros(20));
+        let plan = FaultPlan::new()
+            .crash_node(crash, f)
+            .restart_node(reboot, f);
+        let mut e = Engine::with_faults(cfg, idle(), &plan);
+        let (next, _, _) = e.next_hop(8, f, 0, 0).unwrap();
+
+        // The copy landed at `f` on its upstream credit; every downstream
+        // credit of `f` is out, so the forward parks.
+        let req = e.alloc_request(Request {
+            origin: Rank(8),
+            origin_node: 8,
+            prev_sender: Sender::Proc(Rank(8)),
+            prev_node: 8,
+            ..slot(8, 0, 0)
+        });
+        let up = e.requests[req as usize].hop_key(f);
+        assert!(e.credits.try_acquire(up));
+        let down = CreditKey::cht(f, next, 0);
+        while e.credits.try_acquire(down) {}
+        e.chts[f as usize].enqueue(req);
+        e.cht_try_start(SimTime::from_micros(5), f);
+        assert_eq!(e.credits.blocked_count(), 1, "the forward parked");
+
+        e.node_crash(crash, f);
+        e.node_restart(reboot, f);
+        // A downstream credit comes home after the reboot: the parked copy
+        // died with the old incarnation, so the grant passes on.
+        e.ack_arrive(SimTime::from_micros(30), down);
+        assert_eq!(
+            e.chts[f as usize].queue_len(),
+            0,
+            "the dead copy is not served"
+        );
+        assert_eq!(e.credits.blocked_count(), 0);
+        assert_eq!(e.credits.in_flight(down), e.credits.cap() - 1);
+        // The copy's upstream buffer comes back by its owner's reclaim
+        // timer, and nothing else is scheduled.
+        let mut acks = Vec::new();
+        while let Some((now, ev)) = e.queue.pop() {
+            match ev {
+                Event::AckArrive { key } => {
+                    acks.push(key);
+                    e.ack_arrive(now, key);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(acks, vec![up]);
+        assert_eq!(e.faults.reclaims, 1);
+        assert_eq!(e.credits.in_flight(up), 0);
+    }
+
+    #[test]
     fn one_sweep_sends_at_most_one_probe_per_node() {
         // Every node has been silent for a full heartbeat period. The
         // confirmed dead include node 0 and runs of consecutive nodes, one

@@ -127,6 +127,56 @@ fn crash_rejoin_composes_with_coalescing() {
     assert_rejoin_matches_unfaulted(&MFCG_BOUNDARY, true);
 }
 
+/// Runs one chaos-campaign cell's workload (`vtsim chaos`): every rank but
+/// 0 issues 12 fetch-adds at rank 0, split around a 30 ms keep-alive
+/// compute, at 4 ranks per node with membership repair on. `cell_seed` is
+/// the cell's runtime seed, `campaign ^ (cell << 32)`.
+fn run_chaos_cell(kind: TopologyKind, n_procs: u32, cell_seed: u64, plan: &FaultPlan) -> Report {
+    let mut cfg = RuntimeConfig::new(n_procs, kind);
+    cfg.seed = cell_seed;
+    cfg.membership = MembershipConfig::on();
+    Simulation::build_with_faults(
+        cfg,
+        move |rank| {
+            let mut script = Vec::new();
+            if rank != Rank(0) {
+                script.push(Action::Compute(SimTime::from_micros(
+                    2 + u64::from(rank.0 % 7),
+                )));
+                for _ in 0..CHAOS_OPS / 2 {
+                    script.push(Action::Op(Op::fetch_add(Rank(0), 1)));
+                }
+                script.push(Action::Compute(SimTime::from_millis(30)));
+                for _ in 0..CHAOS_OPS - CHAOS_OPS / 2 {
+                    script.push(Action::Op(Op::fetch_add(Rank(0), 1)));
+                }
+            }
+            ScriptProgram::new(script)
+        },
+        plan,
+    )
+    .with_repair_certifier(vt_analyze::certify_repair)
+    .run()
+    .expect("the reproducer completes")
+}
+
+/// Fetch-adds each rank of a chaos cell issues.
+const CHAOS_OPS: u64 = 12;
+
+/// Asserts a chaos cell held the campaign's oracles: no credit stranded,
+/// every operation applied exactly once, and every rank not lost for good
+/// finished all of its operations.
+fn assert_cell_holds(report: &Report, n_procs: u32) {
+    assert_eq!(report.credit_leaks, 0, "stranded credits");
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(report.fetch_finals[0], report.metrics.total_ops() as i64);
+    let lost = report.lost_ranks.len() as u64;
+    assert_eq!(
+        report.metrics.total_ops(),
+        (u64::from(n_procs) - 1 - lost) * CHAOS_OPS
+    );
+}
+
 /// The shrunk chaos reproducer of campaign seed 7, cell 22 (MFCG, 32 ranks
 /// at 4 per node, 12 fetch-adds per rank split around a 30 ms compute):
 /// a corruption window from 123 µs to 1.986 ms forces retransmissions,
@@ -137,10 +187,6 @@ fn crash_rejoin_composes_with_coalescing() {
 /// counter of 372).
 #[test]
 fn reboot_completes_no_operation_twice() {
-    let ops_per_rank = 12usize;
-    let mut cfg = RuntimeConfig::new(32, TopologyKind::Mfcg);
-    cfg.seed = 7 ^ (22 << 32);
-    cfg.membership = MembershipConfig::on();
     let plan = FaultPlan::new()
         .crash_node(SimTime::from_micros(8_040), 5)
         .restart_node(SimTime::from_micros(15_708), 5)
@@ -149,38 +195,57 @@ fn reboot_completes_no_operation_twice() {
             SimTime::from_micros(1_986),
             0.158_408_312_218_090_4,
         );
-    let report = Simulation::build_with_faults(
-        cfg,
-        move |rank| {
-            let mut script = Vec::new();
-            if rank != Rank(0) {
-                script.push(Action::Compute(SimTime::from_micros(
-                    2 + u64::from(rank.0 % 7),
-                )));
-                for _ in 0..ops_per_rank / 2 {
-                    script.push(Action::Op(Op::fetch_add(Rank(0), 1)));
-                }
-                script.push(Action::Compute(SimTime::from_millis(30)));
-                for _ in 0..ops_per_rank - ops_per_rank / 2 {
-                    script.push(Action::Op(Op::fetch_add(Rank(0), 1)));
-                }
-            }
-            ScriptProgram::new(script)
-        },
-        &plan,
-    )
-    .with_repair_certifier(vt_analyze::certify_repair)
-    .run()
-    .expect("the reproducer completes");
+    let report = run_chaos_cell(TopologyKind::Mfcg, 32, 7 ^ (22 << 32), &plan);
 
     assert!(report.faults.retries > 0, "the corruption forces retries");
     assert!(report.lost_ranks.is_empty(), "{:?}", report.lost_ranks);
     for (rank, stats) in report.metrics.per_rank.iter().enumerate().skip(1) {
-        assert_eq!(stats.ops, ops_per_rank as u64, "rank {rank}");
+        assert_eq!(stats.ops, CHAOS_OPS, "rank {rank}");
     }
-    assert_eq!(report.metrics.total_ops(), 31 * ops_per_rank as u64);
-    assert_eq!(report.fetch_finals[0], report.metrics.total_ops() as i64);
-    assert_eq!(report.credit_leaks, 0);
+    assert_cell_holds(&report, 32);
+}
+
+/// Campaign seed 3, cell 10, shrunk (MFCG, 16 ranks): node 2 crashes at
+/// 124 µs while its CHT is forwarding, so the copy in service holds the
+/// downstream credit it took at service start. It reboots at 9.145 ms. The
+/// crash must return that credit along with the copy's upstream buffer.
+#[test]
+fn crash_in_service_returns_the_held_downstream_credit() {
+    let plan = FaultPlan::new()
+        .crash_node(SimTime::from_micros(124), 2)
+        .restart_node(SimTime::from_micros(9_145), 2);
+    let report = run_chaos_cell(TopologyKind::Mfcg, 16, 3 ^ (10 << 32), &plan);
+    assert_cell_holds(&report, 16);
+}
+
+/// Campaign seed 7, cell 2095, shrunk (Hypercube, 32 ranks): node 2
+/// crashes at 319 µs with requests already accepted by the wire towards
+/// it, and reboots at 6.376 ms; node 1 crashes for good at 6.327 ms. A
+/// copy that reached a node before its crash dies with it: its upstream
+/// buffer comes back by reclaim, and it is never queued at the dead CHT.
+#[test]
+fn copy_landing_at_a_crashed_node_is_reclaimed() {
+    let plan = FaultPlan::new()
+        .crash_node(SimTime::from_micros(6_327), 1)
+        .crash_node(SimTime::from_micros(319), 2)
+        .restart_node(SimTime::from_micros(6_376), 2);
+    let report = run_chaos_cell(TopologyKind::Hypercube, 32, 7 ^ (2095 << 32), &plan);
+    assert_eq!(report.lost_ranks, vec![4, 5, 6, 7]);
+    assert_cell_holds(&report, 32);
+}
+
+/// Campaign seed 3, cell 2823, shrunk (Hypercube, 32 ranks): node 4
+/// crashes at 305 µs mid-service and reboots at 9.792 ms. The rebooted CHT
+/// must start idle; a CHT left busy by the crash never serves again, and
+/// every later arrival strands its upstream credit.
+#[test]
+fn rebooted_cht_serves_again() {
+    let plan = FaultPlan::new()
+        .crash_node(SimTime::from_micros(305), 4)
+        .restart_node(SimTime::from_micros(9_792), 4);
+    let report = run_chaos_cell(TopologyKind::Hypercube, 32, 3 ^ (2823 << 32), &plan);
+    assert!(report.lost_ranks.is_empty(), "{:?}", report.lost_ranks);
+    assert_cell_holds(&report, 32);
 }
 
 proptest! {
