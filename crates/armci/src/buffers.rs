@@ -75,6 +75,9 @@ pub enum Waiter {
         node: NodeId,
         /// The parked request.
         req: crate::ids::ReqId,
+        /// The forwarding node's incarnation when the forward parked; a
+        /// grant after a crash of the node finds it stale.
+        inc: u8,
     },
     /// A retransmitted request waiting at its origin for a fresh first-hop
     /// credit (fault-recovery path only; initial issues block the process
@@ -314,21 +317,50 @@ mod tests {
         let k = key(Sender::Cht(4));
         assert!(cm.try_acquire(k));
         for req in 10..14 {
-            cm.wait(k, Waiter::Fwd { node: 4, req });
+            cm.wait(
+                k,
+                Waiter::Fwd {
+                    node: 4,
+                    req,
+                    inc: 0,
+                },
+            );
         }
         // Take the even request ids only.
         let taken = cm.take_waiters(k, |w| matches!(w, Waiter::Fwd { req, .. } if req % 2 == 0));
         assert_eq!(
             taken,
             vec![
-                Waiter::Fwd { node: 4, req: 10 },
-                Waiter::Fwd { node: 4, req: 12 }
+                Waiter::Fwd {
+                    node: 4,
+                    req: 10,
+                    inc: 0
+                },
+                Waiter::Fwd {
+                    node: 4,
+                    req: 12,
+                    inc: 0
+                }
             ]
         );
         // The odd ones are still queued, in order.
         assert_eq!(cm.blocked_count(), 2);
-        assert_eq!(cm.release(k), Some(Waiter::Fwd { node: 4, req: 11 }));
-        assert_eq!(cm.release(k), Some(Waiter::Fwd { node: 4, req: 13 }));
+        assert_eq!(
+            cm.release(k),
+            Some(Waiter::Fwd {
+                node: 4,
+                req: 11,
+                inc: 0
+            })
+        );
+        assert_eq!(
+            cm.release(k),
+            Some(Waiter::Fwd {
+                node: 4,
+                req: 13,
+                inc: 0
+            })
+        );
         assert_eq!(cm.take_waiters(k, |_| true), Vec::new());
     }
 
@@ -337,11 +369,39 @@ mod tests {
         let mut cm = CreditManager::new(1);
         let k = key(Sender::Cht(2));
         assert!(cm.try_acquire(k));
-        cm.wait(k, Waiter::Fwd { node: 2, req: 10 });
-        cm.wait(k, Waiter::Fwd { node: 2, req: 11 });
+        cm.wait(
+            k,
+            Waiter::Fwd {
+                node: 2,
+                req: 10,
+                inc: 0,
+            },
+        );
+        cm.wait(
+            k,
+            Waiter::Fwd {
+                node: 2,
+                req: 11,
+                inc: 0,
+            },
+        );
         assert_eq!(cm.blocked_count(), 2);
-        assert_eq!(cm.release(k), Some(Waiter::Fwd { node: 2, req: 10 }));
-        assert_eq!(cm.release(k), Some(Waiter::Fwd { node: 2, req: 11 }));
+        assert_eq!(
+            cm.release(k),
+            Some(Waiter::Fwd {
+                node: 2,
+                req: 10,
+                inc: 0
+            })
+        );
+        assert_eq!(
+            cm.release(k),
+            Some(Waiter::Fwd {
+                node: 2,
+                req: 11,
+                inc: 0
+            })
+        );
         assert_eq!(cm.blocked_count(), 0);
         // Both grants transferred the single credit; it is still in flight.
         assert!(!cm.try_acquire(k));
@@ -415,7 +475,11 @@ mod tests {
                     0..=2 => assert_eq!(cm.try_acquire(k), oracle.try_acquire(k, cap), "{ctx}"),
                     3 | 4 => {
                         req += 1;
-                        let w = Waiter::Fwd { node: 2, req };
+                        let w = Waiter::Fwd {
+                            node: 2,
+                            req,
+                            inc: 0,
+                        };
                         cm.wait(k, w);
                         oracle.waiters.entry(k).or_default().push_back(w);
                     }

@@ -135,6 +135,14 @@ impl Cht {
         self.last_service_end = now;
     }
 
+    /// The node crashed: drops the queue and any service in progress, so the
+    /// CHT restarts empty and idle. Returns the dropped queue, oldest first;
+    /// the counters and the polling clock stay.
+    pub fn crash(&mut self) -> VecDeque<ReqId> {
+        self.busy = false;
+        std::mem::take(&mut self.queue)
+    }
+
     /// Records that a forward was parked on an exhausted credit.
     pub fn note_parked(&mut self) {
         self.counters.parked += 1;
@@ -209,6 +217,25 @@ mod tests {
         assert_eq!(cht.pop_head(), Some(7));
         assert_eq!(cht.pop_head(), Some(1));
         assert_eq!(cht.pop_head(), Some(2));
+    }
+
+    #[test]
+    fn crash_restarts_empty_and_idle() {
+        let mut cht = Cht::new();
+        cht.enqueue(1);
+        cht.begin_service(
+            SimTime::ZERO,
+            SimTime::from_micros(60),
+            SimTime::from_micros(8),
+        );
+        cht.pop_head();
+        cht.enqueue(2);
+        cht.enqueue(3);
+        assert_eq!(cht.crash(), [2, 3]);
+        assert!(!cht.is_busy());
+        assert_eq!(cht.queue_len(), 0);
+        assert!(cht.enqueue(4), "an idle CHT starts the next arrival");
+        assert_eq!(cht.counters.max_queue, 2);
     }
 
     #[test]

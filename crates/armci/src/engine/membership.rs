@@ -226,11 +226,12 @@ impl Engine {
     }
 
     /// A scheduled node crash fires: the node's CHT, NIC and resident ranks
-    /// die. Queued requests on the node are destroyed (their upstream
-    /// buffers come back via reclaim timers) and in-flight traffic to the
-    /// node is dropped by the network layer from here on.
+    /// die. The CHT restarts empty and idle: its queued copies are
+    /// destroyed, and the copies in service, parked or still arriving die
+    /// when their events find the node's incarnation moved on (see
+    /// [`Engine::destroy_copy`]). The network drops traffic to the node
+    /// from here on.
     pub(super) fn node_crash(&mut self, now: SimTime, node: NodeId) {
-        self.net.kill_node(node);
         if let Some(o) = &mut self.outages {
             if let Err(pos) = o.dead.binary_search(&node) {
                 o.dead.insert(pos, node);
@@ -248,6 +249,15 @@ impl Engine {
             if phase == Phase::InBarrier {
                 self.barrier_waiting.retain(|&w| w != rank);
             }
+            if let Some(p) = self.procs[rank.idx()]
+                .pending
+                .filter(|_| phase == Phase::WaitingCredit)
+            {
+                // The blocked issue dies with its wait; the reboot re-drives
+                // the operation.
+                let key = self.requests[p as usize].hop_key(self.requests[p as usize].fwd_next);
+                self.credits.take_waiters(key, |w| *w == Waiter::Proc(rank));
+            }
             // Snapshot what the crash interrupted: a scheduled reboot
             // restores (or resolves) it.
             self.procs[rank.idx()].saved_phase = phase;
@@ -255,14 +265,14 @@ impl Engine {
             self.procs[rank.idx()].phase = Phase::Lost;
             self.lost_count += 1;
         }
-        while let Some(req) = self.chts[node as usize].pop_head() {
-            self.reclaim_member(now, node, req);
+        for req in self.chts[node as usize].crash() {
+            self.destroy_copy(now, node, req);
         }
         self.maybe_release_barrier(now);
     }
 
-    /// A scheduled node reboot fires: revive the NIC, drop the node from
-    /// the route-around dead set, restore its Lost resident ranks to the
+    /// A scheduled node reboot fires: drop the node from the route-around
+    /// dead set, restore its Lost resident ranks to the
     /// phase the crash interrupted, and re-drive their in-flight
     /// operations. Re-issued attempts keep their original sequence
     /// numbers, so the target-side dedup table keeps every operation
@@ -270,7 +280,6 @@ impl Engine {
     /// the node also starts announcing itself, feeding it the evidence
     /// that grows the view back (see [`Engine::rejoin_announce`]).
     pub(super) fn node_restart(&mut self, now: SimTime, node: NodeId) {
-        self.net.revive_node(node);
         if let Some(o) = &mut self.outages {
             if let Ok(pos) = o.dead.binary_search(&node) {
                 o.dead.remove(pos);
@@ -401,9 +410,9 @@ impl Engine {
         });
         if let Some(peer) = peer {
             self.repair.probes += 1;
-            if let Ok(arrival) = self.transmit(now, node, peer, PROBE) {
+            if let Ok(sent) = self.transmit(now, node, peer, PROBE) {
                 self.queue.schedule(
-                    arrival,
+                    sent.at,
                     Event::ProbeArrive {
                         node: peer,
                         prober: node,
@@ -511,9 +520,9 @@ impl Engine {
             let prober = ring_successor(n_nodes, node, |p| d.confirmed.binary_search(&p).is_err());
             if let Some(prober) = prober {
                 self.repair.probes += 1;
-                if let Ok(arrival) = self.transmit(now, prober, node, PROBE) {
+                if let Ok(sent) = self.transmit(now, prober, node, PROBE) {
                     self.queue
-                        .schedule(arrival, Event::ProbeArrive { node, prober });
+                        .schedule(sent.at, Event::ProbeArrive { node, prober });
                 }
             }
             let expected = d.mean_interval_ns[idx].max(period.as_nanos() as f64);
@@ -563,8 +572,8 @@ impl Engine {
         // Receiving a probe is itself evidence that the prober is alive.
         self.heard_from(prober, now);
         // The ack is a plain probe-sized message, not a probe of its own.
-        if let Ok(arrival) = self.transmit(now, node, prober, Frame::Message(PROBE_BYTES)) {
-            self.queue.schedule(arrival, Event::ProbeAck { node });
+        if let Ok(sent) = self.transmit(now, node, prober, Frame::Message(PROBE_BYTES)) {
+            self.queue.schedule(sent.at, Event::ProbeAck { node });
         }
     }
 
@@ -975,15 +984,12 @@ mod tests {
         assert_eq!(e.credits.blocked_count(), 0);
         assert_eq!(e.credits.in_flight(down), e.credits.cap() - 1);
         // The copy's upstream buffer comes back by its owner's reclaim
-        // timer, and nothing else is scheduled.
+        // timer; nothing else releases a credit.
         let mut acks = Vec::new();
         while let Some((now, ev)) = e.queue.pop() {
-            match ev {
-                Event::AckArrive { key } => {
-                    acks.push(key);
-                    e.ack_arrive(now, key);
-                }
-                other => panic!("unexpected {other:?}"),
+            if let Event::AckArrive { key } = ev {
+                acks.push(key);
+                e.ack_arrive(now, key);
             }
         }
         assert_eq!(acks, vec![up]);
@@ -1006,9 +1012,6 @@ mod tests {
             .collect();
         let mut e = Engine::with_faults(cfg, programs, &plan);
         let confirmed = vec![0, 1, 5, 6, 7, 12, 23];
-        for &node in &confirmed {
-            e.net.kill_node(node);
-        }
         e.detector.as_mut().unwrap().confirmed = confirmed.clone();
 
         e.membership_tick(cfg.membership.heartbeat_period);

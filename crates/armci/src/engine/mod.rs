@@ -39,19 +39,21 @@ use membership::{Detector, EpochView, Outages};
 use recovery::{OpState, Recovery};
 use serve::ServeState;
 use vt_core::{FxHashMap, Grid};
-use vt_simnet::{EventQueue, FaultPlan, Frame, Network, SendOutcome, SimTime};
+use vt_simnet::{Delivery, EventQueue, FaultPlan, Frame, Network, SendOutcome, SimTime};
 
 /// Engine events.
 #[derive(Clone, Copy, Debug)]
 enum Event {
     /// A process is ready to take its next action.
     ProcReady(Rank),
-    /// A request message finished arriving at a node.
-    RequestArrive { req: ReqId, node: NodeId },
+    /// A request message finished arriving at a node, which was in
+    /// incarnation `inc` when the network accepted the frame.
+    RequestArrive { req: ReqId, node: NodeId, inc: u8 },
     /// A CHT should try to start servicing its head-of-line request.
     ChtTryStart { node: NodeId },
-    /// A CHT finished servicing or forwarding a request.
-    ChtDone { node: NodeId, req: ReqId },
+    /// A CHT finished servicing or forwarding a request; its node was in
+    /// incarnation `inc` when the service started.
+    ChtDone { node: NodeId, req: ReqId, inc: u8 },
     /// A buffer-release acknowledgement arrived at the credit holder's node.
     AckArrive { key: CreditKey },
     /// The target's response arrived at the origin process.
@@ -74,11 +76,11 @@ enum Event {
     /// layer gathers rejoin evidence (membership runs with restarts only).
     RejoinAnnounce { node: NodeId },
     /// A CHT finished assembling and dispatching a coalesced envelope
-    /// (coalescing runs only).
-    ChtEnvDone { node: NodeId, env: u32 },
+    /// (coalescing runs only); `inc` as for `ChtDone`.
+    ChtEnvDone { node: NodeId, env: u32, inc: u8 },
     /// A coalesced envelope finished arriving at a node (coalescing runs
-    /// only).
-    EnvelopeArrive { env: u32, node: NodeId },
+    /// only); `inc` as for `RequestArrive`.
+    EnvelopeArrive { env: u32, node: NodeId, inc: u8 },
     /// The failure detector's periodic evidence sweep (membership runs
     /// only).
     MembershipTick,
@@ -115,8 +117,10 @@ struct Request {
     blocking: bool,
     /// Fetch-&-add result carried by the response.
     resp_value: Option<i64>,
-    /// Set when a parked forward was granted its downstream credit (so the
-    /// service start must not acquire again).
+    /// Whether the copy holds the downstream credit of its next hop
+    /// (`fwd_next`, `fwd_class`): from a parked forward's grant or the
+    /// service start until the forward leaves. Service start acquires only
+    /// without it; a destroyed copy passes it on.
     credit_held: bool,
     /// Slab liveness flag.
     live: bool,
@@ -673,27 +677,9 @@ impl Engine {
             .filter(|&r| self.procs[r as usize].phase == Phase::Lost)
             .collect();
         let fetch_finals = std::mem::take(&mut self.fetch_counters);
-        // A credit still held at quiescence is a leak unless its sender or
-        // either edge endpoint died — crashed buffers (and the acks that
-        // would have released them) legitimately vanish with the node.
-        let dead = self.dead();
-        let credit_leaks = self
-            .credits
-            .accounts()
-            .into_iter()
-            .filter(|&(key, used)| {
-                used > 0
-                    && !dead.contains(&key.edge.0)
-                    && !dead.contains(&key.edge.1)
-                    && match key.sender {
-                        Sender::Cht(n) => !dead.contains(&n),
-                        Sender::Proc(r) => {
-                            !matches!(self.procs[r.idx()].phase, Phase::Lost | Phase::Failed)
-                        }
-                    }
-            })
-            .map(|(_, used)| u64::from(used))
-            .sum();
+        // Every credit comes home by its ack or a reclaim timer, crashes
+        // included, so any credit still held at quiescence is a leak.
+        let credit_leaks = self.credits.total_in_flight();
         let (serve, serve_latencies_us) = self
             .serve
             .map(|s| (s.stats, s.latencies_us))
@@ -750,12 +736,45 @@ impl Engine {
         }
     }
 
+    /// Runs `ev`. A copy whose node crashed since the copy reached it (the
+    /// event's incarnation is stale) goes to [`Engine::destroy_copy`]
+    /// instead of its handler.
     fn dispatch(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::ProcReady(rank) => self.proc_ready(now, rank),
-            Event::RequestArrive { req, node } => self.request_arrive(now, req, node),
+            Event::RequestArrive { req, node, inc } => {
+                // The message physically came from the previous hop:
+                // liveness evidence piggybacked on existing traffic, even
+                // when `node` crashed after the frame reached it.
+                self.heard_from(self.requests[req as usize].prev_node, now);
+                if self.crashed_since(node, inc, now) {
+                    self.destroy_copy(now, node, req);
+                } else {
+                    self.request_arrive(now, req, node);
+                }
+            }
+            Event::EnvelopeArrive { env, node, inc } => {
+                self.heard_from(self.envelopes[env as usize].from, now);
+                let members = self.unpack(env);
+                if self.crashed_since(node, inc, now) {
+                    for m in members {
+                        self.destroy_copy(now, node, m);
+                    }
+                } else {
+                    self.envelope_arrive(now, node, members);
+                }
+            }
+            Event::ChtDone { node, req, inc } if self.crashed_since(node, inc, now) => {
+                self.destroy_copy(now, node, req);
+            }
+            Event::ChtEnvDone { node, env, inc } if self.crashed_since(node, inc, now) => {
+                // The envelope never left: its slot is abandoned.
+                for m in std::mem::take(&mut self.envelopes[env as usize].members) {
+                    self.destroy_copy(now, node, m);
+                }
+            }
             Event::ChtTryStart { node } => self.cht_try_start(now, node),
-            Event::ChtDone { node, req } => self.cht_done(now, node, req),
+            Event::ChtDone { node, req, .. } => self.cht_done(now, node, req),
             Event::AckArrive { key } => self.ack_arrive(now, key),
             Event::ResponseArrive { req } => self.response_arrive(now, req),
             Event::NotifyArrive { target } => self.notify_rank(now, target),
@@ -765,8 +784,7 @@ impl Engine {
             Event::NodeRestart { node } => self.node_restart(now, node),
             Event::PartitionHeal { idx } => self.partition_heal(now, idx),
             Event::RejoinAnnounce { node } => self.rejoin_announce(now, node),
-            Event::ChtEnvDone { node, env } => self.cht_env_done(now, node, env),
-            Event::EnvelopeArrive { env, node } => self.envelope_arrive(now, env, node),
+            Event::ChtEnvDone { node, env, .. } => self.cht_env_done(now, node, env),
             Event::MembershipTick => self.membership_tick(now),
             Event::ProbeArrive { node, prober } => self.probe_arrive(now, node, prober),
             Event::ProbeAck { node } => self.heard_from(node, now),
@@ -1017,8 +1035,8 @@ impl Engine {
     }
 
     /// Puts one frame on the wire from `from` to `to` at `at` and runs the
-    /// receiver's end-to-end checksum: `Ok` with the arrival time of a
-    /// clean copy, `Err` with the instant the copy was destroyed — lost in
+    /// receiver's end-to-end checksum: `Ok` with the delivery of a clean
+    /// copy, `Err` with the instant the copy was destroyed — lost in
     /// flight, or discarded on arrival because its payload was corrupted
     /// (counted in `FaultStats::corrupt_detected`). Every delivery passes
     /// through here, so each corrupt frame is caught exactly once. Callers
@@ -1031,13 +1049,13 @@ impl Engine {
         from: NodeId,
         to: NodeId,
         frame: Frame,
-    ) -> Result<SimTime, SimTime> {
+    ) -> Result<Delivery, SimTime> {
         match self.net.transmit(at, from, to, frame) {
             SendOutcome::Delivered(d) if d.corrupt => {
                 self.faults.corrupt_detected += 1;
                 Err(d.at)
             }
-            SendOutcome::Delivered(d) => Ok(d.at),
+            SendOutcome::Delivered(d) => Ok(d),
             SendOutcome::Dropped { at, .. } => Err(at),
         }
     }
@@ -1053,11 +1071,11 @@ impl Engine {
         };
         if r.op.notify && self.first_notify(&r) {
             let target = r.op.target;
-            self.queue.schedule(d1, Event::NotifyArrive { target });
+            self.queue.schedule(d1.at, Event::NotifyArrive { target });
         }
         let response = Frame::Message(r.op.response_bytes());
-        if let Ok(d2) = self.transmit(d1, r.target_node, r.origin_node, response) {
-            self.queue.schedule(d2, Event::ResponseArrive { req });
+        if let Ok(d2) = self.transmit(d1.at, r.target_node, r.origin_node, response) {
+            self.queue.schedule(d2.at, Event::ResponseArrive { req });
         }
     }
 
@@ -1068,9 +1086,14 @@ impl Engine {
     fn send_request(&mut self, at: SimTime, req: ReqId, from: NodeId, to: NodeId) {
         let bytes = self.requests[req as usize].op.request_bytes();
         match self.transmit(at, from, to, Frame::Message(bytes)) {
-            Ok(arrival) => self
-                .queue
-                .schedule(arrival, Event::RequestArrive { req, node: to }),
+            Ok(d) => self.queue.schedule(
+                d.at,
+                Event::RequestArrive {
+                    req,
+                    node: to,
+                    inc: d.incarnation,
+                },
+            ),
             Err(destroyed_at) => {
                 let key = self.requests[req as usize].hop_key(to);
                 self.reclaim_later(destroyed_at, key);
@@ -1081,9 +1104,6 @@ impl Engine {
     // ----- server side ----------------------------------------------------
 
     fn request_arrive(&mut self, now: SimTime, req: ReqId, node: NodeId) {
-        // The message physically came from the previous hop: liveness
-        // evidence piggybacked on existing traffic.
-        self.heard_from(self.requests[req as usize].prev_node, now);
         if self.reject_stale(req) {
             self.ack_member(now, node, req);
             return;
@@ -1097,12 +1117,10 @@ impl Engine {
     /// downstream credit is exhausted (they keep their upstream buffer) and
     /// starts the first serviceable request, if any.
     fn cht_try_start(&mut self, now: SimTime, node: NodeId) {
-        if self.net.node_dead(node, now) {
-            return;
-        }
         if self.chts[node as usize].is_busy() {
             return;
         }
+        let inc = self.net.incarnation(node, now);
         while let Some(req) = self.chts[node as usize].head() {
             let r = self.requests[req as usize];
             if self.reject_stale(req) {
@@ -1142,20 +1160,20 @@ impl Engine {
                     // credit, and keep draining the queue.
                     self.chts[node as usize].pop_head();
                     self.chts[node as usize].note_parked();
-                    self.credits.wait(key, Waiter::Fwd { node, req });
+                    self.credits.wait(key, Waiter::Fwd { node, req, inc });
                     continue;
                 }
             }
             self.chts[node as usize].pop_head();
-            self.requests[req as usize].credit_held = false;
+            self.requests[req as usize].credit_held = !terminal;
             let mut work = if terminal {
                 self.cfg.cht.service_time(&r.op)
             } else {
                 self.cfg.cht.forward_time(&r.op)
             };
-            let mut done = Event::ChtDone { node, req };
+            let mut done = Event::ChtDone { node, req, inc };
             if !terminal && self.cfg.coalesce.enabled {
-                let members = self.collect_fold(node, req);
+                let members = self.collect_fold(node, req, inc);
                 if members.len() > 1 {
                     // Fold: the whole batch travels on the head's single
                     // downstream credit as one wire message.
@@ -1180,7 +1198,7 @@ impl Engine {
                     // extra member costs `envelope_fold`, not a second
                     // `forward_base`.
                     work = self.cfg.cht.envelope_forward_time(&ops);
-                    done = Event::ChtEnvDone { node, env };
+                    done = Event::ChtEnvDone { node, env, inc };
                 }
             }
             let wake = self.chts[node as usize].begin_service(
@@ -1199,7 +1217,8 @@ impl Engine {
     /// hand) for requests whose next LDF hop and escape class match the
     /// head's, folding them into one envelope as long as the wire message
     /// fits the request-buffer bound. Returns the members, head first.
-    fn collect_fold(&mut self, node: NodeId, head: ReqId) -> Vec<ReqId> {
+    /// `inc` is `node`'s current incarnation.
+    fn collect_fold(&mut self, node: NodeId, head: ReqId, inc: u8) -> Vec<ReqId> {
         let hnext = self.requests[head as usize].fwd_next;
         let hclass = self.requests[head as usize].fwd_class;
         let max_bytes = self.cfg.envelope_max_bytes();
@@ -1214,11 +1233,15 @@ impl Engine {
         let cur_epoch = self.epoch();
         let requests = &self.requests;
         let parked = self.credits.take_waiters(key, |w| match w {
-            Waiter::Fwd { req, .. } => {
+            Waiter::Fwd {
+                req, inc: parked, ..
+            } => {
                 // Stale-epoch parkers stay parked: once their old account
                 // releases they surface at head-of-line and are rejected
-                // with the proper bookkeeping there.
-                if requests[*req as usize].epoch < cur_epoch {
+                // with the proper bookkeeping there. Parkers from before a
+                // crash of this node stay parked until their grant
+                // destroys them.
+                if requests[*req as usize].epoch < cur_epoch || *parked != inc {
                     return false;
                 }
                 let rb = requests[*req as usize].op.request_bytes();
@@ -1279,16 +1302,6 @@ impl Engine {
     /// buffer, restamp the members for the shared hop and put the envelope
     /// on the wire as one message.
     fn cht_env_done(&mut self, now: SimTime, node: NodeId, env: u32) {
-        if self.net.node_dead(node, now) {
-            // The assembling node died mid-service: every member copy dies
-            // with it; their upstream buffers come back via reclaim timers.
-            // The envelope slot is abandoned, so its member list moves out.
-            let members = std::mem::take(&mut self.envelopes[env as usize].members);
-            for m in members {
-                self.reclaim_member(now, node, m);
-            }
-            return;
-        }
         self.chts[node as usize].end_service(now);
         // Move the member list out while the slab is borrowed mutably; it is
         // restored below — the arrival side unpacks from the same slot.
@@ -1310,6 +1323,8 @@ impl Engine {
             slot.prev_node = node;
             slot.vc_class = class;
             slot.env_slot = env;
+            // The head's downstream credit now rides on the envelope.
+            slot.credit_held = false;
         }
         let counters = &mut self.chts[node as usize].counters;
         counters.fwd_messages += 1;
@@ -1325,9 +1340,14 @@ impl Engine {
             subreqs: n,
         };
         match self.transmit(now, node, to, envelope) {
-            Ok(arrival) => self
-                .queue
-                .schedule(arrival, Event::EnvelopeArrive { env, node: to }),
+            Ok(d) => self.queue.schedule(
+                d.at,
+                Event::EnvelopeArrive {
+                    env,
+                    node: to,
+                    inc: d.incarnation,
+                },
+            ),
             // The envelope (and every member copy inside it) is destroyed as
             // a unit; its single downstream credit comes back via the
             // sender's reclaim timer and the origins' response timers
@@ -1339,15 +1359,10 @@ impl Engine {
         }
     }
 
-    /// A coalesced envelope landed: unpack the members into the CHT queue.
+    /// A coalesced envelope landed: queue its unpacked `members` at the CHT.
     /// The envelope's single credit stays held until every member has been
     /// dealt with here (serviced, forwarded or discarded).
-    fn envelope_arrive(&mut self, now: SimTime, env: u32, node: NodeId) {
-        // Unpacking is the member list's last use: move it out of the slot
-        // (the remaining envelope bookkeeping is the `pending` count).
-        let members = std::mem::take(&mut self.envelopes[env as usize].members);
-        self.envelopes[env as usize].pending = members.len() as u32;
-        self.heard_from(self.envelopes[env as usize].from, now);
+    fn envelope_arrive(&mut self, now: SimTime, node: NodeId, members: Vec<ReqId>) {
         let mut start = false;
         for m in members {
             // Stale-epoch members are rejected here exactly as individual
@@ -1362,6 +1377,15 @@ impl Engine {
         if start {
             self.queue.schedule(now, Event::ChtTryStart { node });
         }
+    }
+
+    /// Moves the member list out of the arrived envelope `env`: unpacking is
+    /// its last use. The remaining envelope bookkeeping is the `pending`
+    /// count of members still to release the envelope's credit.
+    fn unpack(&mut self, env: u32) -> Vec<ReqId> {
+        let members = std::mem::take(&mut self.envelopes[env as usize].members);
+        self.envelopes[env as usize].pending = members.len() as u32;
+        members
     }
 
     /// The upstream credit `req`'s copy at `node` releases: its hop's, or
@@ -1393,24 +1417,39 @@ impl Engine {
         self.send_ack(now, node, key.edge.0, key);
     }
 
+    /// Whether `node` crashed since a copy reached it in incarnation `inc`.
+    fn crashed_since(&self, node: NodeId, inc: u8, now: SimTime) -> bool {
+        self.net.incarnation(node, now) != inc
+    }
+
+    /// Destroys the copy of `req` at `node`, which that node's crash ended:
+    /// the one path every such copy takes, whether queued, in service,
+    /// parked or still arriving. Its upstream buffer comes back by its
+    /// owner's reclaim timer (for the last member of an envelope, the
+    /// envelope's single credit), and a downstream credit it held passes on
+    /// at once.
+    fn destroy_copy(&mut self, now: SimTime, node: NodeId, req: ReqId) {
+        if let Some(key) = self.upstream_credit(node, req) {
+            self.reclaim_later(now, key);
+        }
+        let r = &mut self.requests[req as usize];
+        if std::mem::take(&mut r.credit_held) {
+            let key = CreditKey::cht(node, r.fwd_next, r.fwd_class);
+            self.ack_arrive(now, key);
+        }
+    }
+
     /// Sends the ack releasing credit `key` from `node` back to `to`. A
     /// destroyed ack still frees the buffer eventually: the upstream
     /// sender's reclaim timer fires instead.
     fn send_ack(&mut self, now: SimTime, node: NodeId, to: NodeId, key: CreditKey) {
         match self.transmit(now, node, to, Frame::Message(Op::ack_bytes())) {
-            Ok(arrival) => self.queue.schedule(arrival, Event::AckArrive { key }),
+            Ok(d) => self.queue.schedule(d.at, Event::AckArrive { key }),
             Err(at) => self.reclaim_later(at, key),
         }
     }
 
     fn cht_done(&mut self, now: SimTime, node: NodeId, req: ReqId) {
-        if self.net.node_dead(node, now) {
-            // The node died while this request was in service: the copy is
-            // destroyed with it, and the upstream buffer is reclaimed by
-            // its owner's local timer.
-            self.reclaim_member(now, node, req);
-            return;
-        }
         self.chts[node as usize].end_service(now);
         let r = self.requests[req as usize];
 
@@ -1435,6 +1474,7 @@ impl Engine {
             slot.prev_sender = Sender::Cht(node);
             slot.prev_node = node;
             slot.vc_class = slot.fwd_class;
+            slot.credit_held = false;
             self.send_request(now, req, node, r.fwd_next);
         }
 
@@ -1495,8 +1535,8 @@ impl Engine {
         // A destroyed response is recovered by the origin's timer; the
         // retransmitted request will hit the dedup table and be re-answered.
         let response = Frame::Message(r.op.response_bytes());
-        if let Ok(arrival) = self.transmit(now, r.target_node, r.origin_node, response) {
-            self.queue.schedule(arrival, Event::ResponseArrive { req });
+        if let Ok(d) = self.transmit(now, r.target_node, r.origin_node, response) {
+            self.queue.schedule(d.at, Event::ResponseArrive { req });
         }
     }
 
@@ -1529,27 +1569,17 @@ impl Engine {
         match self.credits.release(key) {
             None => {}
             Some(Waiter::Proc(rank)) => {
-                if matches!(self.procs[rank.idx()].phase, Phase::Lost | Phase::Failed) {
-                    // The waiter died while blocked: pass the credit on.
+                if self.procs[rank.idx()].phase == Phase::Failed {
+                    // The waiter failed while blocked: pass the credit on.
                     self.ack_arrive(now, key);
                     return;
                 }
                 // The credit transferred to the blocked process: send its
-                // pending request now.
+                // pending request now. (A crash drops its node's blocked
+                // issues together with their waits.)
                 let node = self.procs[rank.idx()].node;
                 let Some(req) = self.procs[rank.idx()].pending.take() else {
-                    // The waiter's node crashed and rebooted (clearing the
-                    // parked issue) before this grant landed: the revived
-                    // rank re-drives the operation through its retry
-                    // timer, so the credit just passes on. Any other
-                    // grant without a pending issue is protocol-state
-                    // corruption.
-                    assert!(
-                        self.restart_time(node).is_some(),
-                        "granted proc must have a pending issue"
-                    );
-                    self.ack_arrive(now, key);
-                    return;
+                    panic!("granted {rank} has no pending issue");
                 };
                 let first = self.requests[req as usize].fwd_next;
                 debug_assert_eq!(key.edge, (node, first));
@@ -1563,18 +1593,17 @@ impl Engine {
                         .schedule(now + self.cfg.issue_overhead, Event::ProcReady(rank));
                 }
             }
-            Some(Waiter::Fwd { node, req }) => {
-                if self.net.node_dead(node, now) {
-                    // The forwarder died while parked: the copy it held is
-                    // gone. Reclaim its upstream buffer and pass the
-                    // just-granted downstream credit on.
-                    self.reclaim_member(now, node, req);
-                    self.ack_arrive(now, key);
+            Some(Waiter::Fwd { node, req, inc }) => {
+                // The parked forward now holds its downstream credit.
+                self.requests[req as usize].credit_held = true;
+                if self.crashed_since(node, inc, now) {
+                    // Its node crashed since it parked: the copy died with
+                    // that incarnation.
+                    self.destroy_copy(now, node, req);
                     return;
                 }
-                // The parked forward now holds its downstream credit; put it
-                // back at the front of the queue (it is the oldest work).
-                self.requests[req as usize].credit_held = true;
+                // Put it back at the front of the queue (it is the oldest
+                // work).
                 if self.chts[node as usize].enqueue_front(req) {
                     self.queue.schedule(now, Event::ChtTryStart { node });
                 }
@@ -1664,6 +1693,14 @@ mod tests {
             "{}",
             std::mem::size_of::<Request>()
         );
+    }
+
+    #[test]
+    fn incarnations_grow_no_queue_entry() {
+        // Events and credit waiters carry a node's incarnation in padding
+        // that was already there.
+        assert_eq!(std::mem::size_of::<Event>(), 20);
+        assert_eq!(std::mem::size_of::<Waiter>(), 12);
     }
 
     #[test]

@@ -353,15 +353,4 @@ impl Engine {
             Event::AckArrive { key },
         );
     }
-
-    /// Fault-path sibling of [`Engine::ack_member`]: the copy of `req` at
-    /// `node` was destroyed, so its upstream buffer comes back via a
-    /// reclaim timer instead of an ack. For an envelope member the timer is
-    /// armed once — by the last member destroyed — for the envelope's
-    /// single credit.
-    pub(super) fn reclaim_member(&mut self, at: SimTime, node: NodeId, req: ReqId) {
-        if let Some(key) = self.upstream_credit(node, req) {
-            self.reclaim_later(at, key);
-        }
-    }
 }

@@ -31,6 +31,10 @@ pub struct Delivery {
     /// still arrives — detecting the damage is the runtime's job, via
     /// end-to-end envelope checksums. Always false without a fault plan.
     pub corrupt: bool,
+    /// The destination's incarnation (see [`Network::incarnation`]) when
+    /// the frame reached it, which is when the network accepted the frame.
+    /// Always 0 without a fault plan.
+    pub incarnation: u8,
 }
 
 /// One frame on the wire. Its kind decides how many bytes it puts on the
@@ -156,12 +160,20 @@ struct FaultCtx {
 }
 
 impl FaultCtx {
+    /// `node`'s incarnation at `at`: 0 before its crash, 1 inside its
+    /// outage window, 2 after its reboot.
+    fn incarnation(&self, node: u32, at: SimTime) -> u8 {
+        match self.outages[node as usize] {
+            Some((crash, _)) if at < crash => 0,
+            Some((_, Some(restart))) if at >= restart => 2,
+            Some(_) => 1,
+            None => 0,
+        }
+    }
+
     /// Whether `node` is inside its outage window at `at`.
     fn dead_at(&self, node: u32, at: SimTime) -> bool {
-        match self.outages[node as usize] {
-            Some((crash, restart)) => at >= crash && restart.is_none_or(|r| at < r),
-            None => false,
-        }
+        self.incarnation(node, at) == 1
     }
 
     /// Whether an active partition severs `src -> dst` at `at`.
@@ -311,19 +323,12 @@ impl Network {
         self.faults.as_ref().is_some_and(|f| f.dead_at(node, at))
     }
 
-    /// Marks `node`'s NIC dead. Called by the runtime when it processes the
-    /// node's crash event; the time-aware drop decisions use the plan's
-    /// outage windows, this just keeps the hardware state observable.
-    pub fn kill_node(&mut self, node: u32) {
-        self.nics[node as usize].kill();
-    }
-
-    /// Clears `node`'s NIC dead flag. Called by the runtime when it
-    /// processes the node's restart event; as with [`Network::kill_node`],
-    /// the drop decisions are time-based and this keeps the hardware state
-    /// observable.
-    pub fn revive_node(&mut self, node: u32) {
-        self.nics[node as usize].revive();
+    /// `node`'s incarnation at `at`: 0 before its crash, 1 inside its
+    /// outage window, 2 after its reboot. A pure function of the plan,
+    /// which crashes and reboots each node at most once. Always 0 without
+    /// a fault plan.
+    pub fn incarnation(&self, node: u32, at: SimTime) -> u8 {
+        self.faults.as_ref().map_or(0, |f| f.incarnation(node, at))
     }
 
     /// Number of logical nodes.
@@ -423,6 +428,7 @@ impl Network {
                 stream_miss: false,
                 hops: 0,
                 corrupt: false,
+                incarnation: faults.map_or(0, |f| f.incarnation(dst, now)),
             };
             return (SendOutcome::Delivered(local), Reach::Local);
         }
@@ -466,6 +472,7 @@ impl Network {
         }
         let arrival = head + drain;
 
+        let incarnation = faults.as_ref().map_or(0, |f| f.incarnation(dst, arrival));
         let corrupt = match faults.map(|f| f.arrive(dst, arrival)) {
             Some(Err(reason)) => return (dropped(arrival, reason), Reach::Wire { hops }),
             Some(Ok(corrupt)) => corrupt,
@@ -486,6 +493,7 @@ impl Network {
             stream_miss,
             hops,
             corrupt,
+            incarnation,
         };
         (SendOutcome::Delivered(delivery), Reach::Wire { hops })
     }
@@ -854,6 +862,7 @@ mod tests {
                         stream_miss: false,
                         hops: 0,
                         corrupt: false,
+                        incarnation: 0,
                     }),
                     Fate::Refused(reason) => SendOutcome::Dropped { at: now, reason },
                     Fate::Lost(reason, crossed) => {
@@ -876,6 +885,7 @@ mod tests {
                             stream_miss: true,
                             hops,
                             corrupt,
+                            incarnation: 0,
                         })
                     }
                 };
@@ -1097,17 +1107,6 @@ mod tests {
     }
 
     #[test]
-    fn killed_nic_is_observable() {
-        let plan = FaultPlan::new().crash_node(SimTime::ZERO, 2);
-        let mut net = Network::with_faults(NetworkConfig::default(), 4, &plan);
-        assert!(!net.nic(2).is_dead());
-        net.kill_node(2);
-        assert!(net.nic(2).is_dead());
-        net.revive_node(2);
-        assert!(!net.nic(2).is_dead());
-    }
-
-    #[test]
     fn restarted_node_is_dead_only_inside_its_outage_window() {
         let plan = FaultPlan::new()
             .crash_node(SimTime::from_nanos(1_000), 0)
@@ -1117,6 +1116,14 @@ mod tests {
         assert!(net.node_dead(0, SimTime::from_nanos(1_000)));
         assert!(net.node_dead(0, SimTime::from_nanos(9_999)));
         assert!(!net.node_dead(0, SimTime::from_micros(10)), "reboot heals");
+        let incarnations =
+            [999, 1_000, 9_999, 10_000].map(|ns| net.incarnation(0, SimTime::from_nanos(ns)));
+        assert_eq!(incarnations, [0, 1, 1, 2]);
+        assert_eq!(
+            net.incarnation(7, SimTime::from_micros(5)),
+            0,
+            "never crashes"
+        );
         // In flight across the crash instant: lost at the dead NIC.
         match net.transmit(SimTime::ZERO, 7, 0, Frame::Message(4_096)) {
             SendOutcome::Dropped { reason, .. } => assert_eq!(reason, DropReason::DestDead),
@@ -1136,10 +1143,10 @@ mod tests {
             net.transmit(SimTime::from_micros(10), 0, 7, Frame::Message(64)),
             SendOutcome::Delivered(_)
         ));
-        assert!(matches!(
-            net.transmit(SimTime::from_micros(12), 7, 0, Frame::Message(64)),
-            SendOutcome::Delivered(_)
-        ));
+        match net.transmit(SimTime::from_micros(12), 7, 0, Frame::Message(64)) {
+            SendOutcome::Delivered(d) => assert_eq!(d.incarnation, 2, "the rebooted node"),
+            other => panic!("expected a delivery, got {other:?}"),
+        }
     }
 
     #[test]

@@ -107,7 +107,6 @@ pub struct Nic {
     stream_misses: u64,
     rx_messages: u64,
     tx_messages: u64,
-    dead: bool,
 }
 
 impl Nic {
@@ -120,27 +119,7 @@ impl Nic {
             stream_misses: 0,
             rx_messages: 0,
             tx_messages: 0,
-            dead: false,
         }
-    }
-
-    /// Marks the NIC as dead (its node crashed). A dead NIC neither
-    /// transmits nor receives; the network drops traffic touching it.
-    pub fn kill(&mut self) {
-        self.dead = true;
-    }
-
-    /// Clears the dead flag (its node rebooted). The stream table, engine
-    /// horizons and counters deliberately survive: the simulated hardware
-    /// epoch is the network's, and the time-based drop decisions — not
-    /// this flag — decide what a dead node loses.
-    pub fn revive(&mut self) {
-        self.dead = false;
-    }
-
-    /// Whether the NIC's node has crashed.
-    pub fn is_dead(&self) -> bool {
-        self.dead
     }
 
     /// Reserves the transmit engine from `earliest` for `overhead` software
@@ -342,16 +321,6 @@ mod tests {
             assert_eq!(t.len(), cap);
             assert_eq!(t.order.capacity(), cap);
         }
-    }
-
-    #[test]
-    fn nic_starts_alive_and_stays_dead_once_killed() {
-        let mut nic = Nic::new(4);
-        assert!(!nic.is_dead());
-        nic.kill();
-        assert!(nic.is_dead());
-        nic.kill();
-        assert!(nic.is_dead());
     }
 
     #[test]
