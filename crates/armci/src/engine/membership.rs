@@ -410,9 +410,9 @@ impl Engine {
         });
         if let Some(peer) = peer {
             self.repair.probes += 1;
-            if let Ok(sent) = self.transmit(now, node, peer, PROBE) {
+            if let Ok((arrival, _)) = self.transmit(now, node, peer, PROBE) {
                 self.queue.schedule(
-                    sent.at,
+                    arrival,
                     Event::ProbeArrive {
                         node: peer,
                         prober: node,
@@ -520,9 +520,9 @@ impl Engine {
             let prober = ring_successor(n_nodes, node, |p| d.confirmed.binary_search(&p).is_err());
             if let Some(prober) = prober {
                 self.repair.probes += 1;
-                if let Ok(sent) = self.transmit(now, prober, node, PROBE) {
+                if let Ok((arrival, _)) = self.transmit(now, prober, node, PROBE) {
                     self.queue
-                        .schedule(sent.at, Event::ProbeArrive { node, prober });
+                        .schedule(arrival, Event::ProbeArrive { node, prober });
                 }
             }
             let expected = d.mean_interval_ns[idx].max(period.as_nanos() as f64);
@@ -572,8 +572,8 @@ impl Engine {
         // Receiving a probe is itself evidence that the prober is alive.
         self.heard_from(prober, now);
         // The ack is a plain probe-sized message, not a probe of its own.
-        if let Ok(sent) = self.transmit(now, node, prober, Frame::Message(PROBE_BYTES)) {
-            self.queue.schedule(sent.at, Event::ProbeAck { node });
+        if let Ok((arrival, _)) = self.transmit(now, node, prober, Frame::Message(PROBE_BYTES)) {
+            self.queue.schedule(arrival, Event::ProbeAck { node });
         }
     }
 
@@ -982,7 +982,7 @@ mod tests {
             "the dead copy is not served"
         );
         assert_eq!(e.credits.blocked_count(), 0);
-        assert_eq!(e.credits.in_flight(down), e.credits.cap() - 1);
+        assert_eq!(e.credits.in_flight(down), cfg.buffers_per_proc - 1);
         // The copy's upstream buffer comes back by its owner's reclaim
         // timer; nothing else releases a credit.
         let mut acks = Vec::new();

@@ -39,7 +39,7 @@ use membership::{Detector, EpochView, Outages};
 use recovery::{OpState, Recovery};
 use serve::ServeState;
 use vt_core::{FxHashMap, Grid};
-use vt_simnet::{Delivery, EventQueue, FaultPlan, Frame, Network, SendOutcome, SimTime};
+use vt_simnet::{EventQueue, FaultPlan, Frame, Network, SendOutcome, SimTime};
 
 /// Engine events.
 #[derive(Clone, Copy, Debug)]
@@ -413,12 +413,10 @@ pub struct Report {
     pub failures: Vec<SimError>,
     /// Ranks whose node crashed mid-run.
     pub lost_ranks: Vec<u32>,
-    /// Credits still in flight at quiescence on accounts whose sender is
-    /// alive — a live sender holding a buffer after everything drained is
-    /// a protocol leak. Credits stranded by dead senders (the crashed
-    /// node's buffers die with it) are excluded. Must be zero; the model
-    /// checker in `vt-analyze` proves the same property exhaustively for
-    /// small N.
+    /// Credits still in flight at quiescence: every credit comes home by its
+    /// ack or a reclaim timer, crashes included, so any left is a protocol
+    /// leak. Must be zero; the model checker in `vt-analyze` proves the
+    /// same property exhaustively for small N.
     pub credit_leaks: u64,
 }
 
@@ -677,8 +675,6 @@ impl Engine {
             .filter(|&r| self.procs[r as usize].phase == Phase::Lost)
             .collect();
         let fetch_finals = std::mem::take(&mut self.fetch_counters);
-        // Every credit comes home by its ack or a reclaim timer, crashes
-        // included, so any credit still held at quiescence is a leak.
         let credit_leaks = self.credits.total_in_flight();
         let (serve, serve_latencies_us) = self
             .serve
@@ -1035,8 +1031,9 @@ impl Engine {
     }
 
     /// Puts one frame on the wire from `from` to `to` at `at` and runs the
-    /// receiver's end-to-end checksum: `Ok` with the delivery of a clean
-    /// copy, `Err` with the instant the copy was destroyed — lost in
+    /// receiver's end-to-end checksum: `Ok` with the arrival time of a
+    /// clean copy and the receiver's incarnation when the network accepted
+    /// it, `Err` with the instant the copy was destroyed — lost in
     /// flight, or discarded on arrival because its payload was corrupted
     /// (counted in `FaultStats::corrupt_detected`). Every delivery passes
     /// through here, so each corrupt frame is caught exactly once. Callers
@@ -1049,13 +1046,13 @@ impl Engine {
         from: NodeId,
         to: NodeId,
         frame: Frame,
-    ) -> Result<Delivery, SimTime> {
+    ) -> Result<(SimTime, u8), SimTime> {
         match self.net.transmit(at, from, to, frame) {
             SendOutcome::Delivered(d) if d.corrupt => {
                 self.faults.corrupt_detected += 1;
                 Err(d.at)
             }
-            SendOutcome::Delivered(d) => Ok(d),
+            SendOutcome::Delivered(d) => Ok((d.at, d.incarnation)),
             SendOutcome::Dropped { at, .. } => Err(at),
         }
     }
@@ -1066,16 +1063,16 @@ impl Engine {
     fn send_direct(&mut self, t0: SimTime, req: ReqId) {
         let r = self.requests[req as usize];
         let request = Frame::Message(r.op.request_bytes());
-        let Ok(d1) = self.transmit(t0, r.origin_node, r.target_node, request) else {
+        let Ok((d1, _)) = self.transmit(t0, r.origin_node, r.target_node, request) else {
             return;
         };
         if r.op.notify && self.first_notify(&r) {
             let target = r.op.target;
-            self.queue.schedule(d1.at, Event::NotifyArrive { target });
+            self.queue.schedule(d1, Event::NotifyArrive { target });
         }
         let response = Frame::Message(r.op.response_bytes());
-        if let Ok(d2) = self.transmit(d1.at, r.target_node, r.origin_node, response) {
-            self.queue.schedule(d2.at, Event::ResponseArrive { req });
+        if let Ok((d2, _)) = self.transmit(d1, r.target_node, r.origin_node, response) {
+            self.queue.schedule(d2, Event::ResponseArrive { req });
         }
     }
 
@@ -1086,14 +1083,9 @@ impl Engine {
     fn send_request(&mut self, at: SimTime, req: ReqId, from: NodeId, to: NodeId) {
         let bytes = self.requests[req as usize].op.request_bytes();
         match self.transmit(at, from, to, Frame::Message(bytes)) {
-            Ok(d) => self.queue.schedule(
-                d.at,
-                Event::RequestArrive {
-                    req,
-                    node: to,
-                    inc: d.incarnation,
-                },
-            ),
+            Ok((arrival, inc)) => self
+                .queue
+                .schedule(arrival, Event::RequestArrive { req, node: to, inc }),
             Err(destroyed_at) => {
                 let key = self.requests[req as usize].hop_key(to);
                 self.reclaim_later(destroyed_at, key);
@@ -1340,14 +1332,9 @@ impl Engine {
             subreqs: n,
         };
         match self.transmit(now, node, to, envelope) {
-            Ok(d) => self.queue.schedule(
-                d.at,
-                Event::EnvelopeArrive {
-                    env,
-                    node: to,
-                    inc: d.incarnation,
-                },
-            ),
+            Ok((arrival, inc)) => self
+                .queue
+                .schedule(arrival, Event::EnvelopeArrive { env, node: to, inc }),
             // The envelope (and every member copy inside it) is destroyed as
             // a unit; its single downstream credit comes back via the
             // sender's reclaim timer and the origins' response timers
@@ -1444,7 +1431,7 @@ impl Engine {
     /// sender's reclaim timer fires instead.
     fn send_ack(&mut self, now: SimTime, node: NodeId, to: NodeId, key: CreditKey) {
         match self.transmit(now, node, to, Frame::Message(Op::ack_bytes())) {
-            Ok(d) => self.queue.schedule(d.at, Event::AckArrive { key }),
+            Ok((arrival, _)) => self.queue.schedule(arrival, Event::AckArrive { key }),
             Err(at) => self.reclaim_later(at, key),
         }
     }
@@ -1535,8 +1522,8 @@ impl Engine {
         // A destroyed response is recovered by the origin's timer; the
         // retransmitted request will hit the dedup table and be re-answered.
         let response = Frame::Message(r.op.response_bytes());
-        if let Ok(d) = self.transmit(now, r.target_node, r.origin_node, response) {
-            self.queue.schedule(d.at, Event::ResponseArrive { req });
+        if let Ok((arrival, _)) = self.transmit(now, r.target_node, r.origin_node, response) {
+            self.queue.schedule(arrival, Event::ResponseArrive { req });
         }
     }
 

@@ -160,8 +160,7 @@ struct FaultCtx {
 }
 
 impl FaultCtx {
-    /// `node`'s incarnation at `at`: 0 before its crash, 1 inside its
-    /// outage window, 2 after its reboot.
+    /// `node`'s incarnation at `at` (see [`Network::incarnation`]).
     fn incarnation(&self, node: u32, at: SimTime) -> u8 {
         match self.outages[node as usize] {
             Some((crash, _)) if at < crash => 0,
@@ -501,11 +500,6 @@ impl Network {
     /// Aggregate traffic counters.
     pub fn counters(&self) -> NetCounters {
         self.counters
-    }
-
-    /// Read access to a node's NIC (for reports and tests).
-    pub fn nic(&self, node: u32) -> &Nic {
-        &self.nics[node as usize]
     }
 
     /// The `k` busiest links by bytes carried, busiest first — makes tree
