@@ -56,7 +56,7 @@ pub struct ModelConfig {
     /// that makes exactly-once non-trivial.
     pub spurious_timeouts: u8,
     /// Model membership epochs: every confirmed crash is followed by an
-    /// epoch commit that re-packs the survivors ([`vt_core::repack`]) and
+    /// epoch commit that re-packs the survivors ([`vt_core::repack()`]) and
     /// re-routes subsequent launches over the repaired grid, while copies
     /// stamped with an older epoch are rejected wherever they surface
     /// (arrival, head-of-line, un-parking) and replayed by their origin's

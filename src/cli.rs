@@ -179,85 +179,109 @@ pub fn parse_op(s: &str) -> Result<OpSpec, String> {
     }
 }
 
+/// The usage text. Each command's block starts with its name, indented
+/// two columns; the block's further lines are indented to the flags.
+const USAGE: &str = "\
+vtsim — virtual-topology experiments (ICPP 2011 reproduction)
+
+USAGE: vtsim <command> [--flag value]...
+
+COMMANDS
+  analyze     --topology K --nodes N [--ppn 4] [--credits 4]
+              [--buffer-bytes 16384] [--coalesce off]
+              [--fault none|crash|crash:N[,N...]]
+              [--model on|off] [--format human|json] [--dot PATH]
+              static protocol verification (acyclicity, totality, depth,
+              budgets, small-N model check); exits non-zero when the
+              configuration is not certified
+  analyze     --matrix on [--format json]   full topology x coalescing x
+              fault verification matrix (the CI gate)
+  topo        --topology K --nodes N            inspect a topology
+  dot         --topology K --nodes N [--tree R]  Graphviz DOT export
+  memory      --nodes N [--ppn 12]              Fig. 5 memory table
+  contention  --topology K --op OP --scenario S [--procs 1024] [--ppn 4]
+              [--stride 16] [--iterations 20] [--coalesce off]
+              Figs. 6/7 protocol (coalesce on|off folds shared-hop
+              forwards into envelopes)
+  lu          --procs N [--topology K] [--iterations 250]   Fig. 8
+  dft         --cores N [--topology K] [--tasks N]          Fig. 9a
+  ccsd        --cores N [--topology K]                      Fig. 9b
+  gups        --procs N [--topology K] [--skew 0.0]         UPC-style
+  faults      --topology K [--procs 256] [--ppn 4] [--ops 8]
+              [--kill-at-us 300] [--membership on|off]
+              forwarder-kill resilience experiment (membership adds
+              failure detection + live epoch re-packing)
+  repair      [--topology K --nodes N --victim V] [--ppn 2] [--ops 4]
+              [--kill-at-us 50] [--format human|json]
+              membership-repair experiment: crash an escape-critical
+              boundary node the static analyzer refuses (defaults run
+              both pins: mfcg/23 node 2 and cfcg/29 node 24) and
+              complete the workload via epoch re-packing; exits
+              non-zero unless every run completes with zero credit
+              leaks and a certified post-repair topology
+  serve       [--preset flash-crowd|steady|load-repack] [--topology K]
+              [--nodes N] [--ppn P] [--rate R] [--peak X]
+              [--horizon-us H] [--queue-cap Q] [--retry-budget B]
+              [--retry-timeout-us 5000]
+              [--guard 0.5] [--tick-us 250] [--load-repack on|off]
+              [--curve 0.5,1,2,4] [--format human|json]
+              open-system overload experiment: deterministic arrival
+              processes drive every rank as a serving client past the
+              hot CHT's saturation point; reports shed/goodput/latency
+              percentiles (and the goodput-vs-offered-load curve with
+              --curve); exits non-zero unless the exactly-once ledger
+              balances with zero credit leaks
+  chaos       [--cells 64] [--ppn 4] [--ops 12] [--seed 50336]
+              [--threads 0] [--quick] [--format human|json]
+              deterministic chaos campaign: randomised composite fault
+              schedules (crashes, reboots, partitions, loss, payload
+              corruption) over the topology x population grid, every
+              cell checked against invariant oracles (completion, zero
+              credit leaks, every corruption caught, exactly-once
+              effects) plus double-run replay identity; failing
+              schedules are greedily shrunk to a minimized reproducer;
+              exits non-zero when any cell violates an invariant
+  lint        [--root .] [--allow lint_allow.toml] [--format human|json]
+              [--out PATH]
+              workspace determinism & panic-policy static analyzer:
+              D1 no unordered hash iteration in protocol paths, D2 no
+              ambient nondeterminism in sim crates, D3 DetRng is the
+              only randomness source, D4 no float accumulation in
+              protocol state, P1 justified-panic audit; exits non-zero
+              on any unallowlisted finding or stale allowlist entry
+  bench       [--quick] [--repeats N] [--sizes 1024,4096,16384]
+              [--topologies fcg,mfcg,cfcg,hypercube] [--serve on|off]
+              [--out PATH]
+              [--baseline BENCH_sim.json] [--max-regression-pct 50]
+              simulator-core throughput on the frozen hot-spot
+              workload; emits the BENCH_sim.json trajectory document
+              and, with --baseline, exits non-zero on a regression
+
+Topologies: fcg mfcg cfcg hypercube kfcgN. Scenarios: none 11 20 1/N.
+Run `vtsim <command> --help` for one command's flags.
+";
+
 /// Usage text.
 pub fn usage() -> String {
-    "vtsim — virtual-topology experiments (ICPP 2011 reproduction)\n\
-     \n\
-     USAGE: vtsim <command> [--flag value]...\n\
-     \n\
-     COMMANDS\n\
-       analyze     --topology K --nodes N [--ppn 4] [--credits 4]\n\
-                   [--buffer-bytes 16384] [--coalesce off]\n\
-                   [--fault none|crash|crash:N[,N...]]\n\
-                   [--model on|off] [--format human|json] [--dot PATH]\n\
-                   static protocol verification (acyclicity, totality, depth,\n\
-                   budgets, small-N model check); exits non-zero when the\n\
-                   configuration is not certified\n\
-       analyze     --matrix on [--format json]   full topology x coalescing x\n\
-                   fault verification matrix (the CI gate)\n\
-       topo        --topology K --nodes N            inspect a topology\n\
-       dot         --topology K --nodes N [--tree R]  Graphviz DOT export\n\
-       memory      --nodes N [--ppn 12]              Fig. 5 memory table\n\
-       contention  --topology K --op OP --scenario S [--procs 1024] [--ppn 4]\n\
-                   [--stride 16] [--iterations 20] [--coalesce off]\n\
-                   Figs. 6/7 protocol (coalesce on|off folds shared-hop\n\
-                   forwards into envelopes)\n\
-       lu          --procs N [--topology K] [--iterations 250]   Fig. 8\n\
-       dft         --cores N [--topology K] [--tasks N]          Fig. 9a\n\
-       ccsd        --cores N [--topology K]                      Fig. 9b\n\
-       gups        --procs N [--topology K] [--skew 0.0]         UPC-style\n\
-       faults      --topology K [--procs 256] [--ppn 4] [--ops 8]\n\
-                   [--kill-at-us 300] [--membership on|off]\n\
-                   forwarder-kill resilience experiment (membership adds\n\
-                   failure detection + live epoch re-packing)\n\
-       repair      [--topology K --nodes N --victim V] [--ppn 2] [--ops 4]\n\
-                   [--kill-at-us 50] [--format human|json]\n\
-                   membership-repair experiment: crash an escape-critical\n\
-                   boundary node the static analyzer refuses (defaults run\n\
-                   both pins: mfcg/23 node 2 and cfcg/29 node 24) and\n\
-                   complete the workload via epoch re-packing; exits\n\
-                   non-zero unless every run completes with zero credit\n\
-                   leaks and a certified post-repair topology\n\
-       serve       [--preset flash-crowd|steady|load-repack] [--topology K]\n\
-                   [--nodes N] [--ppn P] [--rate R] [--peak X]\n\
-                   [--horizon-us H] [--queue-cap Q] [--retry-budget B]\n\
-                   [--retry-timeout-us 5000]\n\
-                   [--guard 0.5] [--tick-us 250] [--load-repack on|off]\n\
-                   [--curve 0.5,1,2,4] [--format human|json]\n\
-                   open-system overload experiment: deterministic arrival\n\
-                   processes drive every rank as a serving client past the\n\
-                   hot CHT's saturation point; reports shed/goodput/latency\n\
-                   percentiles (and the goodput-vs-offered-load curve with\n\
-                   --curve); exits non-zero unless the exactly-once ledger\n\
-                   balances with zero credit leaks\n\
-       chaos       [--cells 64] [--ppn 4] [--ops 12] [--seed 50336]\n\
-                   [--threads 0] [--quick] [--format human|json]\n\
-                   deterministic chaos campaign: randomised composite fault\n\
-                   schedules (crashes, reboots, partitions, loss, payload\n\
-                   corruption) over the topology x population grid, every\n\
-                   cell checked against invariant oracles (completion, zero\n\
-                   credit leaks, every corruption caught, exactly-once\n\
-                   effects) plus double-run replay identity; failing\n\
-                   schedules are greedily shrunk to a minimized reproducer;\n\
-                   exits non-zero when any cell violates an invariant\n\
-       lint        [--root .] [--allow lint_allow.toml] [--format human|json]\n\
-                   [--out PATH]\n\
-                   workspace determinism & panic-policy static analyzer:\n\
-                   D1 no unordered hash iteration in protocol paths, D2 no\n\
-                   ambient nondeterminism in sim crates, D3 DetRng is the\n\
-                   only randomness source, D4 no float accumulation in\n\
-                   protocol state, P1 justified-panic audit; exits non-zero\n\
-                   on any unallowlisted finding or stale allowlist entry\n\
-       bench       [--quick] [--repeats N] [--sizes 1024,4096,16384]\n\
-                   [--topologies fcg,mfcg,cfcg,hypercube] [--serve on|off]\n\
-                   [--out PATH]\n\
-                   [--baseline BENCH_sim.json] [--max-regression-pct 50]\n\
-                   simulator-core throughput on the frozen hot-spot\n\
-                   workload; emits the BENCH_sim.json trajectory document\n\
-                   and, with --baseline, exits non-zero on a regression\n\
-     \n\
-     Topologies: fcg mfcg cfcg hypercube kfcgN. Scenarios: none 11 20 1/N.\n"
-        .to_string()
+    USAGE.to_string()
+}
+
+/// Usage text of one command, its blocks under COMMANDS in [`USAGE`]
+/// (`vtsim <command> --help`); `None` for an unknown command.
+fn command_usage(cmd: &str) -> Option<String> {
+    let mut blocks = String::new();
+    let mut keep = false;
+    let commands = USAGE.lines().skip_while(|l| *l != "COMMANDS").skip(1);
+    for line in commands.take_while(|l| !l.is_empty()) {
+        if !line.starts_with("   ") {
+            keep = line.split_whitespace().next() == Some(cmd);
+        }
+        if keep {
+            blocks.push_str(line);
+            blocks.push('\n');
+        }
+    }
+    (!blocks.is_empty()).then(|| format!("USAGE: vtsim {cmd} [--flag value]...\n\n{blocks}"))
 }
 
 /// Runs one command; returns the rendered output.
@@ -268,6 +292,9 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
     // `bench` and `chaos` follow the figure-harness convention of a bare
     // `--quick`; normalize it to the `--flag value` shape the parser
     // expects.
+    if args.iter().any(|a| a == "--help") {
+        return command_usage(cmd).ok_or_else(|| format!("unknown command '{cmd}'\n\n{USAGE}"));
+    }
     let normalized;
     let args = if cmd == "bench" || cmd == "chaos" {
         normalized = normalize_bare_flags(args, &["--quick"]);
@@ -1891,6 +1918,46 @@ mod tests {
     fn unknown_command_shows_usage() {
         let err = run_command("wat", &[]).unwrap_err();
         assert!(err.contains("USAGE"));
+    }
+
+    #[test]
+    fn every_command_prints_its_own_help() {
+        let headers: Vec<&str> = USAGE
+            .lines()
+            .skip_while(|l| *l != "COMMANDS")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .filter(|l| !l.starts_with("   "))
+            .collect();
+        let mut commands: Vec<&str> = headers
+            .iter()
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        commands.dedup();
+        assert_eq!(commands.len(), 15, "{commands:?}");
+        for cmd in commands {
+            let help = run_command(cmd, &s(&["--help"])).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+            assert!(help.starts_with(&format!("USAGE: vtsim {cmd} ")), "{help}");
+            // Every block of the command, and no other command's.
+            let own = headers
+                .iter()
+                .filter(|l| l.split_whitespace().next() == Some(cmd));
+            for header in own {
+                assert!(help.contains(header), "{cmd}: missing {header}");
+            }
+            let blocks = help.lines().skip(2).filter(|l| !l.starts_with("   "));
+            assert!(blocks
+                .into_iter()
+                .all(|l| l.starts_with(&format!("  {cmd} "))));
+            // --help wins over any other flag, valid or not.
+            let mixed = run_command(cmd, &s(&["--format", "xml", "--help"])).unwrap();
+            assert_eq!(mixed, help, "{cmd}");
+        }
+        let analyze = run_command("analyze", &s(&["--help"])).unwrap();
+        assert!(analyze.contains("--matrix on") && analyze.contains("--dot PATH"));
+        assert!(run_command("wat", &s(&["--help"]))
+            .unwrap_err()
+            .contains("unknown command 'wat'"));
     }
 
     #[test]
