@@ -935,39 +935,65 @@ mod tests {
         assert!(e.requests[z_old as usize].live, "its copy may still land");
     }
 
-    #[test]
-    fn forward_parked_across_a_reboot_dies_with_its_node() {
-        // 3x3 MFCG at 1 ppn: rank 8's fetch-add to rank 0 is forwarded
-        // once, by the first hop `f`.
+    /// A 3x3 MFCG engine at 1 ppn under `plan(f, next)`: rank 8's
+    /// fetch-adds to rank 0 are forwarded once, by node `f`, to `next`.
+    fn one_forward(
+        coalesce: bool,
+        plan: impl Fn(NodeId, NodeId) -> FaultPlan,
+    ) -> (Engine, NodeId, NodeId) {
         let mut cfg = small_cfg(9, TopologyKind::Mfcg);
         cfg.procs_per_node = 1;
+        if coalesce {
+            cfg.coalesce = crate::config::CoalesceConfig::on();
+        }
         let idle = || {
             (0..9)
                 .map(|_| Box::new(ScriptProgram::new(vec![])) as Box<dyn Program>)
                 .collect()
         };
-        let (f, _, _) = Engine::new(cfg, idle()).next_hop(8, 8, 0, 0).unwrap();
-        let (crash, reboot) = (SimTime::from_micros(10), SimTime::from_micros(20));
-        let plan = FaultPlan::new()
-            .crash_node(crash, f)
-            .restart_node(reboot, f);
-        let mut e = Engine::with_faults(cfg, idle(), &plan);
-        let (next, _, _) = e.next_hop(8, f, 0, 0).unwrap();
+        let mut probe = Engine::new(cfg, idle());
+        let (f, _, _) = probe.next_hop(8, 8, 0, 0).unwrap();
+        let (next, _, _) = probe.next_hop(8, f, 0, 0).unwrap();
+        (Engine::with_faults(cfg, idle(), &plan(f, next)), f, next)
+    }
 
-        // The copy landed at `f` on its upstream credit; every downstream
-        // credit of `f` is out, so the forward parks.
+    /// Lands a fetch-add of rank 8 at `f` on its upstream credit and
+    /// queues it there; returns the copy and that credit.
+    fn land(e: &mut Engine, f: NodeId, op: Op, seq: u64) -> (ReqId, CreditKey) {
         let req = e.alloc_request(Request {
+            op,
             origin: Rank(8),
             origin_node: 8,
+            target_node: e.layout.node_of(op.target),
             prev_sender: Sender::Proc(Rank(8)),
             prev_node: 8,
-            ..slot(8, 0, 0)
+            ..slot(8, seq, 0)
         });
         let up = e.requests[req as usize].hop_key(f);
         assert!(e.credits.try_acquire(up));
+        e.chts[f as usize].enqueue(req);
+        (req, up)
+    }
+
+    /// Runs every queued event.
+    fn drain(e: &mut Engine) {
+        while let Some((now, ev)) = e.queue.pop() {
+            e.dispatch(now, ev);
+        }
+    }
+
+    #[test]
+    fn forward_parked_across_a_reboot_dies_with_its_node() {
+        let (crash, reboot) = (SimTime::from_micros(10), SimTime::from_micros(20));
+        let (mut e, f, next) = one_forward(false, |f, _| {
+            FaultPlan::new()
+                .crash_node(crash, f)
+                .restart_node(reboot, f)
+        });
+        // Every downstream credit of `f` is out, so the forward parks.
+        let (_, up) = land(&mut e, f, Op::fetch_add(Rank(0), 1), 0);
         let down = CreditKey::cht(f, next, 0);
         while e.credits.try_acquire(down) {}
-        e.chts[f as usize].enqueue(req);
         e.cht_try_start(SimTime::from_micros(5), f);
         assert_eq!(e.credits.blocked_count(), 1, "the forward parked");
 
@@ -982,19 +1008,91 @@ mod tests {
             "the dead copy is not served"
         );
         assert_eq!(e.credits.blocked_count(), 0);
-        assert_eq!(e.credits.in_flight(down), cfg.buffers_per_proc - 1);
+        let out = e.cfg.buffers_per_proc - 1;
+        assert_eq!(e.credits.in_flight(down), out);
         // The copy's upstream buffer comes back by its owner's reclaim
-        // timer; nothing else releases a credit.
-        let mut acks = Vec::new();
-        while let Some((now, ev)) = e.queue.pop() {
-            if let Event::AckArrive { key } = ev {
-                acks.push(key);
-                e.ack_arrive(now, key);
-            }
-        }
-        assert_eq!(acks, vec![up]);
+        // timer.
+        drain(&mut e);
         assert_eq!(e.faults.reclaims, 1);
         assert_eq!(e.credits.in_flight(up), 0);
+        assert_eq!(e.credits.total_in_flight(), u64::from(out));
+    }
+
+    #[test]
+    fn granted_forward_queued_at_a_crash_passes_its_credit_on() {
+        let crash = SimTime::from_micros(6) + SimTime::from_nanos(1);
+        let (mut e, f, next) = one_forward(false, |f, _| FaultPlan::new().crash_node(crash, f));
+        // B parks on exhausted downstream credits; A, terminal at `f`,
+        // starts service; B's grant lands while A is in service.
+        land(&mut e, f, Op::fetch_add(Rank(0), 1), 0);
+        let down = CreditKey::cht(f, next, 0);
+        while e.credits.try_acquire(down) {}
+        e.cht_try_start(SimTime::from_micros(5), f);
+        land(&mut e, f, Op::fetch_add(Rank(f), 1), 1);
+        e.cht_try_start(SimTime::from_micros(6), f);
+        e.ack_arrive(SimTime::from_micros(6), down);
+        assert_eq!(
+            e.chts[f as usize].queue_len(),
+            1,
+            "B queued, credit in hand"
+        );
+
+        e.node_crash(crash, f);
+        let out = e.cfg.buffers_per_proc - 1;
+        assert_eq!(e.credits.in_flight(down), out, "B's credit passed on");
+        assert!(!e.chts[f as usize].is_busy(), "the CHT restarts idle");
+        // A's service end finds the node crashed: A is destroyed, not
+        // applied. Both upstream buffers come back by reclaim timers.
+        drain(&mut e);
+        assert_eq!(e.fetch_counters[f as usize], 0);
+        assert_eq!(e.faults.reclaims, 2);
+        assert_eq!(e.credits.total_in_flight(), u64::from(out));
+    }
+
+    #[test]
+    fn envelope_in_assembly_dies_with_its_node() {
+        let crash = SimTime::from_micros(10) + SimTime::from_nanos(1);
+        let (mut e, f, next) = one_forward(true, |f, _| FaultPlan::new().crash_node(crash, f));
+        let (_, up) = land(&mut e, f, Op::fetch_add(Rank(0), 1), 0);
+        land(&mut e, f, Op::fetch_add(Rank(0), 1), 1);
+        e.cht_try_start(SimTime::from_micros(10), f);
+        // Both fold into one envelope on the head's downstream credit.
+        assert_eq!(e.envelopes.len(), 1);
+        assert_eq!(e.credits.in_flight(up), 2);
+        assert_eq!(e.credits.in_flight(CreditKey::cht(f, next, 0)), 1);
+
+        e.node_crash(crash, f);
+        drain(&mut e);
+        assert_eq!(e.coalesce.envelopes, 0, "the envelope never left");
+        assert_eq!(e.faults.reclaims, 2, "one per member's upstream buffer");
+        assert_eq!(e.credits.total_in_flight(), 0);
+    }
+
+    #[test]
+    fn envelope_landing_after_its_receiver_crashed_is_reclaimed() {
+        let crash = SimTime::from_millis(1);
+        let (mut e, f, next) =
+            one_forward(true, |_, next| FaultPlan::new().crash_node(crash, next));
+        land(&mut e, f, Op::fetch_add(Rank(0), 1), 0);
+        land(&mut e, f, Op::fetch_add(Rank(0), 1), 1);
+        e.cht_try_start(SimTime::from_micros(10), f);
+        // Run until the network accepted the envelope at `next`...
+        let landing = loop {
+            let (now, ev) = e.queue.pop().unwrap();
+            if let Event::EnvelopeArrive { .. } = ev {
+                break ev;
+            }
+            e.dispatch(now, ev);
+        };
+        assert_eq!(e.coalesce.envelopes, 1);
+        // ...and deliver it only after `next` crashed.
+        e.node_crash(crash, next);
+        e.dispatch(crash + SimTime::from_micros(1), landing);
+        assert_eq!(e.chts[next as usize].queue_len(), 0);
+        drain(&mut e);
+        assert_eq!(e.fetch_counters[0], 0);
+        assert_eq!(e.faults.reclaims, 1, "the envelope's single credit");
+        assert_eq!(e.credits.total_in_flight(), 0);
     }
 
     #[test]
