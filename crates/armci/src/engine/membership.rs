@@ -1069,6 +1069,26 @@ mod tests {
     }
 
     #[test]
+    fn request_landing_after_its_receiver_crashed_is_reclaimed() {
+        let crash = SimTime::from_millis(1);
+        let (mut e, f, _) = one_forward(false, |f, _| FaultPlan::new().crash_node(crash, f));
+        let (req, up) = land(&mut e, f, Op::fetch_add(Rank(0), 1), 0);
+        e.chts[f as usize].pop_head();
+        e.send_request(SimTime::from_micros(10), req, 8, f);
+        // The network accepted the request at `f` before the crash; it is
+        // delivered only after it.
+        let (_, landing) = e.queue.pop().unwrap();
+        assert!(matches!(landing, Event::RequestArrive { .. }));
+        e.node_crash(crash, f);
+        e.dispatch(crash + SimTime::from_micros(1), landing);
+        assert_eq!(e.chts[f as usize].queue_len(), 0, "never queued");
+        drain(&mut e);
+        assert_eq!(e.faults.reclaims, 1);
+        assert_eq!(e.credits.in_flight(up), 0);
+        assert_eq!(e.fetch_counters[0], 0);
+    }
+
+    #[test]
     fn envelope_landing_after_its_receiver_crashed_is_reclaimed() {
         let crash = SimTime::from_millis(1);
         let (mut e, f, next) =
