@@ -1587,11 +1587,8 @@ impl Engine {
                     // Its node crashed since it parked: the copy died with
                     // that incarnation.
                     self.destroy_copy(now, node, req);
-                    return;
-                }
-                // Put it back at the front of the queue (it is the oldest
-                // work).
-                if self.chts[node as usize].enqueue_front(req) {
+                } else if self.chts[node as usize].enqueue_front(req) {
+                    // Back at the front of the queue: it is the oldest work.
                     self.queue.schedule(now, Event::ChtTryStart { node });
                 }
             }
