@@ -951,7 +951,7 @@ mod tests {
                 .map(|_| Box::new(ScriptProgram::new(vec![])) as Box<dyn Program>)
                 .collect()
         };
-        let mut probe = Engine::new(cfg, idle());
+        let probe = Engine::new(cfg, idle());
         let (f, _, _) = probe.next_hop(8, 8, 0, 0).unwrap();
         let (next, _, _) = probe.next_hop(8, f, 0, 0).unwrap();
         (Engine::with_faults(cfg, idle(), &plan(f, next)), f, next)
