@@ -212,6 +212,10 @@ mod tests {
     use super::*;
     use crate::ids::Rank;
 
+    fn fwd(node: NodeId, req: u32) -> Waiter {
+        Waiter::Fwd { node, req, inc: 0 }
+    }
+
     fn key(sender: Sender) -> CreditKey {
         CreditKey {
             sender,
@@ -300,50 +304,15 @@ mod tests {
         let k = key(Sender::Cht(4));
         assert!(cm.try_acquire(k));
         for req in 10..14 {
-            cm.wait(
-                k,
-                Waiter::Fwd {
-                    node: 4,
-                    req,
-                    inc: 0,
-                },
-            );
+            cm.wait(k, fwd(4, req));
         }
         // Take the even request ids only.
         let taken = cm.take_waiters(k, |w| matches!(w, Waiter::Fwd { req, .. } if req % 2 == 0));
-        assert_eq!(
-            taken,
-            vec![
-                Waiter::Fwd {
-                    node: 4,
-                    req: 10,
-                    inc: 0
-                },
-                Waiter::Fwd {
-                    node: 4,
-                    req: 12,
-                    inc: 0
-                }
-            ]
-        );
+        assert_eq!(taken, vec![fwd(4, 10), fwd(4, 12)]);
         // The odd ones are still queued, in order.
         assert_eq!(cm.blocked_count(), 2);
-        assert_eq!(
-            cm.release(k),
-            Some(Waiter::Fwd {
-                node: 4,
-                req: 11,
-                inc: 0
-            })
-        );
-        assert_eq!(
-            cm.release(k),
-            Some(Waiter::Fwd {
-                node: 4,
-                req: 13,
-                inc: 0
-            })
-        );
+        assert_eq!(cm.release(k), Some(fwd(4, 11)));
+        assert_eq!(cm.release(k), Some(fwd(4, 13)));
         assert_eq!(cm.take_waiters(k, |_| true), Vec::new());
     }
 
@@ -352,39 +321,11 @@ mod tests {
         let mut cm = CreditManager::new(1);
         let k = key(Sender::Cht(2));
         assert!(cm.try_acquire(k));
-        cm.wait(
-            k,
-            Waiter::Fwd {
-                node: 2,
-                req: 10,
-                inc: 0,
-            },
-        );
-        cm.wait(
-            k,
-            Waiter::Fwd {
-                node: 2,
-                req: 11,
-                inc: 0,
-            },
-        );
+        cm.wait(k, fwd(2, 10));
+        cm.wait(k, fwd(2, 11));
         assert_eq!(cm.blocked_count(), 2);
-        assert_eq!(
-            cm.release(k),
-            Some(Waiter::Fwd {
-                node: 2,
-                req: 10,
-                inc: 0
-            })
-        );
-        assert_eq!(
-            cm.release(k),
-            Some(Waiter::Fwd {
-                node: 2,
-                req: 11,
-                inc: 0
-            })
-        );
+        assert_eq!(cm.release(k), Some(fwd(2, 10)));
+        assert_eq!(cm.release(k), Some(fwd(2, 11)));
         assert_eq!(cm.blocked_count(), 0);
         // Both grants transferred the single credit; it is still in flight.
         assert!(!cm.try_acquire(k));
@@ -458,11 +399,7 @@ mod tests {
                     0..=2 => assert_eq!(cm.try_acquire(k), oracle.try_acquire(k, cap), "{ctx}"),
                     3 | 4 => {
                         req += 1;
-                        let w = Waiter::Fwd {
-                            node: 2,
-                            req,
-                            inc: 0,
-                        };
+                        let w = fwd(2, req);
                         cm.wait(k, w);
                         oracle.waiters.entry(k).or_default().push_back(w);
                     }

@@ -751,7 +751,10 @@ impl Engine {
             }
             Event::EnvelopeArrive { env, node, inc } => {
                 self.heard_from(self.envelopes[env as usize].from, now);
-                let members = self.unpack(env);
+                // Unpacking is the member list's last use: what remains of
+                // the envelope is its count of members still to release it.
+                let members = std::mem::take(&mut self.envelopes[env as usize].members);
+                self.envelopes[env as usize].pending = members.len() as u32;
                 if self.crashed_since(node, inc, now) {
                     for m in members {
                         self.destroy_copy(now, node, m);
@@ -1364,15 +1367,6 @@ impl Engine {
         if start {
             self.queue.schedule(now, Event::ChtTryStart { node });
         }
-    }
-
-    /// Moves the member list out of the arrived envelope `env`: unpacking is
-    /// its last use. The remaining envelope bookkeeping is the `pending`
-    /// count of members still to release the envelope's credit.
-    fn unpack(&mut self, env: u32) -> Vec<ReqId> {
-        let members = std::mem::take(&mut self.envelopes[env as usize].members);
-        self.envelopes[env as usize].pending = members.len() as u32;
-        members
     }
 
     /// The upstream credit `req`'s copy at `node` releases: its hop's, or
