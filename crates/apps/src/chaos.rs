@@ -26,7 +26,6 @@
 //! (with their reboots), partitions and windows while the failure
 //! persists — down to a minimized reproducer worth committing to a test.
 
-use serde::{Deserialize, Serialize};
 use vt_armci::{
     Action, FaultPlan, FaultStats, MembershipConfig, Op, Rank, RepairStats, Report, RuntimeConfig,
     ScriptProgram, SimTime, Simulation,
@@ -47,7 +46,7 @@ pub const CAMPAIGN_TOPOLOGIES: [TopologyKind; 4] = [
 pub const CAMPAIGN_SIZES: [u32; 2] = [16, 32];
 
 /// Configuration of a chaos campaign.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
     /// Number of cells to draw and run.
     pub cells: u32,
@@ -104,7 +103,7 @@ pub struct ChaosCell {
 }
 
 /// Result of one campaign cell: oracle verdicts plus headline counters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CellOutcome {
     /// Cell index within the campaign.
     pub idx: u32,

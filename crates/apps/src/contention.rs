@@ -15,7 +15,6 @@
 //! each blocking op), so contender traffic never pollutes a measured mean.
 
 use crate::report::Series;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::sync::Mutex;
 use vt_armci::cht::ChtCounters;
@@ -25,7 +24,7 @@ use vt_simnet::net::NetCounters;
 use vt_simnet::SimTime;
 
 /// The contention level of a scenario.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scenario {
     /// Only the measured process communicates; everyone else idles
     /// (paper: "no contention").
@@ -60,7 +59,7 @@ impl Scenario {
 }
 
 /// Which one-sided operation the benchmark exercises against rank 0.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpSpec {
     /// The operation kind (CHT-path kinds are the interesting ones).
     pub kind: OpKind,
@@ -124,7 +123,7 @@ impl OpSpec {
 }
 
 /// Configuration of one contention run (one curve of Figs. 6/7).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ContentionConfig {
     /// Total ranks. Paper: 1 024.
     pub n_procs: u32,
@@ -156,9 +155,8 @@ pub struct ContentionConfig {
     /// by their `M` credits) instead of blocking one at a time — this makes
     /// the buffer-provisioning ablation sensitive to `M`.
     pub pipelined_contenders: bool,
-    /// Override of the request-coalescing policy (ablations). `None` keeps
-    /// the runtime default (off).
-    pub coalesce: Option<vt_armci::CoalesceConfig>,
+    /// Switch request coalescing on (ablations; off by default).
+    pub coalesce: bool,
     /// Override of the membership/repair policy (ablations). `None` keeps
     /// the runtime default (off), which is byte-identical to a build
     /// without the subsystem.
@@ -182,7 +180,7 @@ impl ContentionConfig {
             placement: None,
             net: None,
             pipelined_contenders: false,
-            coalesce: None,
+            coalesce: false,
             membership: None,
         }
     }
@@ -377,9 +375,7 @@ pub fn try_run(cfg: &ContentionConfig) -> Result<ContentionOutcome, crate::RunEr
     if let Some(p) = cfg.placement {
         rt.net.placement = p;
     }
-    if let Some(c) = cfg.coalesce {
-        rt.coalesce = c;
-    }
+    rt.coalesce.enabled = cfg.coalesce;
     if let Some(m) = cfg.membership {
         rt.membership = m;
     }
@@ -453,7 +449,7 @@ mod tests {
             placement: None,
             net: None,
             pipelined_contenders: false,
-            coalesce: None,
+            coalesce: false,
             membership: None,
         }
     }
@@ -508,7 +504,7 @@ mod tests {
         let mut off = tiny(TopologyKind::Mfcg, Scenario::pct20());
         off.pipelined_contenders = true;
         let mut on = off;
-        on.coalesce = Some(vt_armci::CoalesceConfig::on());
+        on.coalesce = true;
         let a = run(&off);
         let b = run(&on);
         // Same logical forwarding work, fewer physical messages.

@@ -16,7 +16,6 @@
 //! every in-flight request the dead forwarder held, but complete with
 //! availability `1 − ppn/P` all the same.
 
-use serde::{Deserialize, Serialize};
 use vt_armci::{
     Action, FaultPlan, FaultStats, MembershipConfig, Rank, RepairStats, RuntimeConfig,
     ScriptProgram, SimTime, Simulation,
@@ -24,7 +23,7 @@ use vt_armci::{
 use vt_core::{TopologyKind, VirtualTopology};
 
 /// Configuration of a forwarder-kill run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FaultScenarioConfig {
     /// Total ranks.
     pub n_procs: u32,

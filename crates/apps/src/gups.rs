@@ -13,12 +13,11 @@
 //! * **skewed** targets (a popular table region) — the hot owner saturates
 //!   and the topologies invert, exactly like Figs. 6/7.
 
-use serde::{Deserialize, Serialize};
 use vt_armci::{Action, Op, ProcCtx, Program, Rank, RuntimeConfig, Simulation};
 use vt_core::TopologyKind;
 
 /// Configuration of a GUPS run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GupsConfig {
     /// Total ranks.
     pub n_procs: u32,

@@ -15,13 +15,12 @@
 //! same node or on a directly-connected one, so MFCG forwards only a small
 //! fraction of them.
 
-use serde::{Deserialize, Serialize};
 use vt_armci::{Action, Op, ProcCtx, Program, Rank, RuntimeConfig, Simulation};
 use vt_core::TopologyKind;
 use vt_simnet::SimTime;
 
 /// Configuration of one LU run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LuConfig {
     /// Total ranks (must admit a near-square 2-D factorisation).
     pub n_procs: u32,

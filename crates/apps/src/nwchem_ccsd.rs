@@ -15,13 +15,12 @@
 //! the node's memory budget, compute slows by a paging factor. FCG crosses
 //! the budget near ten thousand cores — the crossover in Fig. 9b.
 
-use serde::{Deserialize, Serialize};
 use vt_armci::{node_memory, Action, Op, ProcCtx, Program, Rank, RuntimeConfig, Simulation};
 use vt_core::TopologyKind;
 use vt_simnet::SimTime;
 
 /// Configuration of one CCSD proxy run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CcsdConfig {
     /// Total ranks ("cores" on the paper's x-axis).
     pub n_procs: u32,

@@ -11,13 +11,12 @@
 //! execution time by up to 48 %, with CFCG in between and the Hypercube's
 //! forwarding latency making it *worse* than FCG.
 
-use serde::{Deserialize, Serialize};
 use vt_armci::{Action, Op, ProcCtx, Program, Rank, RuntimeConfig, Simulation};
 use vt_core::TopologyKind;
 use vt_simnet::SimTime;
 
 /// Configuration of one DFT proxy run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DftConfig {
     /// Total ranks ("cores" on the paper's x-axis).
     pub n_procs: u32,

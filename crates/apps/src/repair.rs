@@ -20,14 +20,13 @@
 //! topology — the original kind re-packed over the survivors, or a lower
 //! rung of the fallback ladder — re-certifies.
 
-use serde::{Deserialize, Serialize};
 use vt_armci::{
     FaultPlan, MembershipConfig, Rank, RepairStats, RuntimeConfig, SimTime, Simulation,
 };
 use vt_core::{fallback_ladder, TopologyKind};
 
 /// Configuration of a membership-repair run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RepairScenarioConfig {
     /// Virtual topology under test.
     pub topology: TopologyKind,

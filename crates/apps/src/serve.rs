@@ -29,7 +29,6 @@
 //! request's effect may land after its client stopped waiting, but no
 //! increment is ever applied twice).
 
-use serde::{Deserialize, Serialize};
 use vt_armci::{
     ArrivalProcess, Rank, RuntimeConfig, ScriptProgram, ServeConfig, ServeStats, SimTime,
     Simulation,
@@ -38,7 +37,7 @@ use vt_core::TopologyKind;
 use vt_simnet::stats::percentile;
 
 /// Configuration of an open-system serving run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServeScenarioConfig {
     /// Virtual topology under test.
     pub topology: TopologyKind,
@@ -169,7 +168,7 @@ impl ServeScenarioConfig {
 }
 
 /// Result of one open-system serving run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServeOutcome {
     /// The run's serving counters: arrivals, admissions, sheds,
     /// completions, retries, guard trips and the load re-pack.
@@ -206,7 +205,7 @@ pub struct ServeOutcome {
 }
 
 /// One point on the goodput-vs-offered-load curve.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CurvePoint {
     /// The rate multiplier applied to the base scenario.
     pub factor: f64,

@@ -22,6 +22,19 @@ const PROBE_BYTES: u64 = 16;
 /// A failure-detector heartbeat probe frame.
 const PROBE: Frame = Frame::Probe(PROBE_BYTES);
 
+/// Detector tick and expected inter-evidence interval: nodes silent longer
+/// than this are probed, and phi accrues against it.
+const HEARTBEAT_PERIOD: SimTime = SimTime::from_millis(1);
+
+/// Suspicion level (in units of expected intervals, phi-accrual style) at
+/// which a silent node is declared crashed.
+const PHI_THRESHOLD: f64 = 8.0;
+
+/// How long after confirming a crash the runtime waits before committing
+/// the new epoch, giving in-flight old-epoch requests a chance to complete
+/// instead of being replayed.
+const DRAIN_WINDOW: SimTime = SimTime::from_millis(2);
+
 /// The first node after `node`, in cyclic node-id order, that `member`
 /// accepts: `node`'s successor on the ring of accepted nodes. `None` when
 /// no other node is accepted.
@@ -97,7 +110,7 @@ pub(super) struct Detector {
 impl Detector {
     /// Live with the membership layer on and a fault plan installed.
     pub(super) fn new(cfg: &RuntimeConfig, plan: &FaultPlan, n_nodes: u32) -> Option<Self> {
-        let expected = cfg.membership.heartbeat_period.as_nanos() as f64;
+        let expected = HEARTBEAT_PERIOD.as_nanos() as f64;
         (cfg.membership.enabled && !plan.is_empty()).then(|| Detector {
             last_heard: vec![SimTime::ZERO; n_nodes as usize],
             mean_interval_ns: vec![expected; n_nodes as usize],
@@ -153,7 +166,7 @@ impl Engine {
     pub(super) fn request_commit(&mut self, now: SimTime) {
         if let Some(v) = self.view.as_mut().filter(|v| !v.pending_commit) {
             v.pending_commit = true;
-            let at = now + self.cfg.membership.drain_window;
+            let at = now + DRAIN_WINDOW;
             self.queue.schedule(at, Event::EpochCommit);
         }
     }
@@ -192,8 +205,7 @@ impl Engine {
                 .schedule(w.until, Event::PartitionHeal { idx: idx as u32 });
         }
         if self.detector.is_some() {
-            self.queue
-                .schedule(self.cfg.membership.heartbeat_period, Event::MembershipTick);
+            self.queue.schedule(HEARTBEAT_PERIOD, Event::MembershipTick);
         }
     }
 
@@ -420,10 +432,8 @@ impl Engine {
                 );
             }
         }
-        self.queue.schedule(
-            now + self.cfg.membership.heartbeat_period,
-            Event::RejoinAnnounce { node },
-        );
+        self.queue
+            .schedule(now + HEARTBEAT_PERIOD, Event::RejoinAnnounce { node });
     }
 
     /// A partition window ends: count the heal and (with the detector
@@ -504,14 +514,13 @@ impl Engine {
             return;
         };
         let n_nodes = self.layout.num_nodes();
-        let period = self.cfg.membership.heartbeat_period;
         for node in 0..n_nodes {
             if d.confirmed.binary_search(&node).is_ok() {
                 continue;
             }
             let idx = node as usize;
             let elapsed = now - d.last_heard[idx];
-            if elapsed < period {
+            if elapsed < HEARTBEAT_PERIOD {
                 continue;
             }
             // Idle-probe fallback: the silent peer's ring successor in the
@@ -525,9 +534,9 @@ impl Engine {
                         .schedule(arrival, Event::ProbeArrive { node, prober });
                 }
             }
-            let expected = d.mean_interval_ns[idx].max(period.as_nanos() as f64);
+            let expected = d.mean_interval_ns[idx].max(HEARTBEAT_PERIOD.as_nanos() as f64);
             let phi = elapsed.as_nanos() as f64 / expected;
-            if phi >= self.cfg.membership.phi_threshold && !d.suspected[idx] {
+            if phi >= PHI_THRESHOLD && !d.suspected[idx] {
                 if self.partition_involves(now, node) {
                     // Grace shield: an active cut explains the silence, so
                     // the suspicion is held rather than raised — a
@@ -560,7 +569,8 @@ impl Engine {
             }
         }
         self.detector = Some(d);
-        self.queue.schedule(now + period, Event::MembershipTick);
+        self.queue
+            .schedule(now + HEARTBEAT_PERIOD, Event::MembershipTick);
     }
 
     /// A heartbeat probe landed: a live node acks it (the ack is the
@@ -1132,7 +1142,7 @@ mod tests {
         let confirmed = vec![0, 1, 5, 6, 7, 12, 23];
         e.detector.as_mut().unwrap().confirmed = confirmed.clone();
 
-        e.membership_tick(cfg.membership.heartbeat_period);
+        e.membership_tick(HEARTBEAT_PERIOD);
 
         let mut sent = vec![0u32; n as usize];
         let mut probed = vec![false; n as usize];

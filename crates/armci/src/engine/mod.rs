@@ -28,7 +28,7 @@ pub use membership::RepairCertifier;
 pub use route::forward_decision;
 
 use crate::buffers::{CreditKey, CreditManager, Waiter};
-use crate::cht::{Cht, ChtCounters};
+use crate::cht::{self, Cht, ChtCounters};
 use crate::config::RuntimeConfig;
 use crate::ids::{NodeId, Rank, ReqId, Sender};
 use crate::layout::Layout;
@@ -39,7 +39,7 @@ use membership::{Detector, EpochView, Outages};
 use recovery::{OpState, Recovery};
 use serve::ServeState;
 use vt_core::{FxHashMap, Grid};
-use vt_simnet::{EventQueue, FaultPlan, Frame, Network, SendOutcome, SimTime};
+use vt_simnet::{EventQueue, FaultPlan, Frame, Network, SendOutcome, SimTime, ENV_SUB_HEADER};
 
 /// Engine events.
 #[derive(Clone, Copy, Debug)]
@@ -517,11 +517,34 @@ fn slab_insert<T>(slab: &mut Vec<T>, free: &mut Vec<u32>, item: T) -> u32 {
     }
 }
 
+/// Process-side software cost to issue any operation.
+const ISSUE_OVERHEAD: SimTime = SimTime::from_nanos(500);
+
+/// Per-byte cost of an intra-node shared-memory copy (ns/byte).
+const SHM_PER_BYTE_NS: f64 = 0.25;
+
+/// Cost per barrier stage (a dissemination barrier runs ⌈log₂ P⌉ stages).
+const BARRIER_STAGE: SimTime = SimTime::from_micros(2);
+
+/// CPU interference of the CHT on co-located application processes: the
+/// fraction of one core's worth of compute stolen from the node while the
+/// CHT is busy (the XT5 CHT shares cores with application ranks). Each
+/// process's compute blocks are stretched by
+/// `CHT_INTERFERENCE × cht_busy / ppn`. Forwarding-heavy topologies pay this
+/// across the machine.
+const CHT_INTERFERENCE: f64 = 1.0;
+
+/// Cache/TLB pressure of a large resident buffer pool: extra nanoseconds per
+/// CHT request for every MiB of CHT pool on the node. This is the small but
+/// real cost that makes virtual topologies slightly *faster* than FCG even
+/// without hot spots (paper Fig. 8 at low process counts).
+const CACHE_NS_PER_POOL_MIB: f64 = 8.0;
+
 /// Extra CHT service time at `node` of `topo` from buffer-pool cache pressure.
 fn pool_pressure(cfg: &RuntimeConfig, topo: &Grid, node: NodeId) -> SimTime {
     let pool = crate::memory::node_memory(cfg, topo, node).cht_pool_bytes;
     let mib = pool as f64 / (1024.0 * 1024.0);
-    SimTime::from_nanos((mib * cfg.cht.cache_ns_per_pool_mib).round() as u64)
+    SimTime::from_nanos((mib * CACHE_NS_PER_POOL_MIB).round() as u64)
 }
 
 impl Engine {
@@ -767,10 +790,12 @@ impl Engine {
                 self.destroy_copy(now, node, req);
             }
             Event::ChtEnvDone { node, env, inc } if self.crashed_since(node, inc, now) => {
-                // The envelope never left: its slot is abandoned.
+                // The envelope never left: its members die with the node
+                // and nothing names its slot any more.
                 for m in std::mem::take(&mut self.envelopes[env as usize].members) {
                     self.destroy_copy(now, node, m);
                 }
+                self.free_envs.push(env);
             }
             Event::ChtTryStart { node } => self.cht_try_start(now, node),
             Event::ChtDone { node, req, .. } => self.cht_done(now, node, req),
@@ -826,7 +851,7 @@ impl Engine {
                     self.cht_busy_total[node as usize] - self.procs[rank.idx()].cht_busy_seen;
                 self.procs[rank.idx()].cht_busy_seen = self.cht_busy_total[node as usize];
                 let steal = SimTime::from_nanos(
-                    (delta.as_nanos() as f64 * self.cfg.cht.cht_interference
+                    (delta.as_nanos() as f64 * CHT_INTERFERENCE
                         / f64::from(self.cfg.procs_per_node))
                     .round() as u64,
                 );
@@ -843,7 +868,7 @@ impl Engine {
                 // issue_op leaves phase Running unless credit-blocked.
                 if self.procs[rank.idx()].phase == Phase::Running {
                     self.queue
-                        .schedule(now + self.cfg.issue_overhead, Event::ProcReady(rank));
+                        .schedule(now + ISSUE_OVERHEAD, Event::ProcReady(rank));
                 }
             }
             Action::WaitAll => {
@@ -870,7 +895,7 @@ impl Engine {
         }
         if self.barrier_waiting.len() as u32 + self.finished_count() == self.cfg.n_procs {
             let stages = 32 - (self.cfg.n_procs.max(2) - 1).leading_zeros();
-            let latency = self.cfg.barrier_stage * u64::from(stages);
+            let latency = BARRIER_STAGE * u64::from(stages);
             self.barrier_scheduled = true;
             self.queue.schedule(now + latency, Event::BarrierRelease);
         }
@@ -925,16 +950,15 @@ impl Engine {
 
         if target_node == src_node {
             // Intra-node: served through shared memory, no CHT, no credits.
-            let copy =
-                SimTime::from_nanos((op.bytes as f64 * self.cfg.shm_per_byte_ns).round() as u64);
-            let done = now + self.cfg.issue_overhead + self.net.config().shm_latency + copy;
+            let copy = SimTime::from_nanos((op.bytes as f64 * SHM_PER_BYTE_NS).round() as u64);
+            let done = now + ISSUE_OVERHEAD + self.net.config().shm_latency + copy;
             self.apply(now, req, Some(done));
             if op.notify {
                 self.queue
                     .schedule(done, Event::NotifyArrive { target: op.target });
             }
         } else {
-            let t0 = now + self.cfg.issue_overhead;
+            let t0 = now + ISSUE_OVERHEAD;
             // A serve client is `Done` and may have several requests
             // waiting for first-hop credits at once; the single-slot
             // `pending` park is a process-blocking mechanism. Park the
@@ -1162,9 +1186,9 @@ impl Engine {
             self.chts[node as usize].pop_head();
             self.requests[req as usize].credit_held = !terminal;
             let mut work = if terminal {
-                self.cfg.cht.service_time(&r.op)
+                cht::service_time(&r.op)
             } else {
-                self.cfg.cht.forward_time(&r.op)
+                cht::forward_time(&r.op)
             };
             let mut done = Event::ChtDone { node, req, inc };
             if !terminal && self.cfg.coalesce.enabled {
@@ -1190,17 +1214,13 @@ impl Engine {
                         },
                     );
                     // Assembly is pipelined with the in-flight send: each
-                    // extra member costs `envelope_fold`, not a second
-                    // `forward_base`.
-                    work = self.cfg.cht.envelope_forward_time(&ops);
+                    // extra member costs a cheap fold, not a second forward
+                    // dispatch.
+                    work = cht::envelope_forward_time(&ops);
                     done = Event::ChtEnvDone { node, env, inc };
                 }
             }
-            let wake = self.chts[node as usize].begin_service(
-                now,
-                self.cfg.cht.poll_window,
-                self.cfg.cht.wakeup_latency,
-            );
+            let wake = self.chts[node as usize].begin_service(now);
             let dur = self.cht_pool_extra[node as usize] + work;
             self.cht_busy_total[node as usize] += wake + dur;
             self.queue.schedule(now + wake + dur, done);
@@ -1216,8 +1236,7 @@ impl Engine {
     fn collect_fold(&mut self, node: NodeId, head: ReqId, inc: u8) -> Vec<ReqId> {
         let hnext = self.requests[head as usize].fwd_next;
         let hclass = self.requests[head as usize].fwd_class;
-        let max_bytes = self.cfg.envelope_max_bytes();
-        let sub = self.net.config().env_sub_header;
+        let max_bytes = self.cfg.buffer_bytes;
         let mut wire = self.requests[head as usize].op.request_bytes();
         let mut members = vec![head];
         // Forwards parked on the head's own credit account already chose
@@ -1240,8 +1259,8 @@ impl Engine {
                     return false;
                 }
                 let rb = requests[*req as usize].op.request_bytes();
-                if wire + rb + sub <= max_bytes {
-                    wire += rb + sub;
+                if wire + rb + ENV_SUB_HEADER <= max_bytes {
+                    wire += rb + ENV_SUB_HEADER;
                     true
                 } else {
                     false
@@ -1271,7 +1290,7 @@ impl Engine {
                 continue;
             }
             let rb = rc.op.request_bytes();
-            if wire + rb + sub > max_bytes {
+            if wire + rb + ENV_SUB_HEADER > max_bytes {
                 continue;
             }
             // Unreachable candidates stay queued; the head-of-line pass
@@ -1284,7 +1303,7 @@ impl Engine {
             if (cnext, cclass) != (hnext, hclass) {
                 continue;
             }
-            wire += rb + sub;
+            wire += rb + ENV_SUB_HEADER;
             self.requests[c as usize].fwd_next = cnext;
             self.requests[c as usize].fwd_class = cclass;
             members.push(c);
@@ -1341,8 +1360,11 @@ impl Engine {
             // The envelope (and every member copy inside it) is destroyed as
             // a unit; its single downstream credit comes back via the
             // sender's reclaim timer and the origins' response timers
-            // recover the operations.
-            Err(at) => self.reclaim_later(at, CreditKey::cht(node, to, class)),
+            // recover the operations. No copy will arrive to name the slot.
+            Err(at) => {
+                self.free_envs.push(env);
+                self.reclaim_later(at, CreditKey::cht(node, to, class));
+            }
         }
         if self.chts[node as usize].queue_len() > 0 {
             self.queue.schedule(now, Event::ChtTryStart { node });
@@ -1370,7 +1392,8 @@ impl Engine {
     }
 
     /// The upstream credit `req`'s copy at `node` releases: its hop's, or
-    /// for the last envelope member out the envelope's single credit.
+    /// for the last envelope member out the envelope's single credit, which
+    /// also frees the envelope's slot.
     fn upstream_credit(&mut self, node: NodeId, req: ReqId) -> Option<CreditKey> {
         let r = self.requests[req as usize];
         if r.env_slot == NO_ENV {
@@ -1381,19 +1404,23 @@ impl Engine {
         debug_assert_eq!(env.to, node, "member released away from its envelope");
         debug_assert!(env.pending > 0);
         env.pending -= 1;
-        (env.pending == 0).then(|| CreditKey::cht(env.from, node, env.class))
+        if env.pending > 0 {
+            return None;
+        }
+        let key = CreditKey::cht(env.from, node, env.class);
+        self.free_envs.push(r.env_slot);
+        Some(key)
     }
 
     /// Acks the upstream buffer of `req`'s hop into `node` — for envelopes
     /// ONE aggregated ack, the paper's reply aggregation on the return path.
     fn ack_member(&mut self, now: SimTime, node: NodeId, req: ReqId) {
-        let slot = self.requests[req as usize].env_slot;
+        let in_envelope = self.requests[req as usize].env_slot != NO_ENV;
         let Some(key) = self.upstream_credit(node, req) else {
             return;
         };
-        if slot != NO_ENV {
+        if in_envelope {
             self.coalesce.agg_acks += 1;
-            self.free_env(slot);
         }
         self.send_ack(now, node, key.edge.0, key);
     }
@@ -1571,7 +1598,7 @@ impl Engine {
                 } else {
                     self.procs[rank.idx()].phase = Phase::Running;
                     self.queue
-                        .schedule(now + self.cfg.issue_overhead, Event::ProcReady(rank));
+                        .schedule(now + ISSUE_OVERHEAD, Event::ProcReady(rank));
                 }
             }
             Some(Waiter::Fwd { node, req, inc }) => {
@@ -2376,8 +2403,7 @@ mod tests {
         cfg.procs_per_node = 1;
         cfg.coalesce = crate::config::CoalesceConfig::on();
         let rb = Op::fetch_add(Rank(0), 1).request_bytes();
-        let sub = cfg.net.env_sub_header;
-        cfg.coalesce.max_bytes = Some(2 * rb + sub);
+        cfg.buffer_bytes = 2 * rb + ENV_SUB_HEADER;
         let report = run_all(cfg, hotspot_program);
         assert!(report.coalesce.envelopes >= 1, "{:?}", report.coalesce);
         assert_eq!(report.coalesce.deepest_fold, 2);

@@ -19,8 +19,15 @@
 //! operation, so the rule frees it on completion. Copies the engine never
 //! sees end (dropped, corrupted, stale or unreachable discards, dead nodes,
 //! duplicates swallowed while the first copy is pending) keep their slots,
-//! which is safe. Envelope slots are never reused under recovery. Slots are
-//! recycled, so nothing may order by slab index: age is `Request::stamp`.
+//! which is safe. Slots are recycled, so nothing may order by slab index:
+//! age is `Request::stamp`.
+//!
+//! Envelope slots are recycled in every mode, once no event or member copy
+//! can name them: when the last member releases the envelope's credit (by
+//! ack, or destroyed by its node's crash), when the envelope's send is
+//! dropped, and when its node crashed before the assembly finished. A
+//! dropped envelope's members still name the slot, but a dropped copy is
+//! never seen again, and a retransmission starts outside any envelope.
 //!
 //! The operation's record lives exactly as long as its slots: it is created
 //! with the first and removed with the last, when no copy or timer can ask
@@ -134,14 +141,6 @@ impl Engine {
         }
     }
 
-    pub(super) fn free_env(&mut self, id: u32) {
-        // Envelope slots are never reused under recovery: in-flight drops
-        // may leave stale references behind.
-        if self.recovery.is_none() {
-            self.free_envs.push(id);
-        }
-    }
-
     /// The record of `r`'s operation (`None` without recovery).
     fn op_mut(&mut self, r: &Request) -> Option<&mut OpRecord> {
         let op = self.recovery.as_mut()?.ops.get_mut(&(r.origin.0, r.seq));
@@ -241,7 +240,7 @@ impl Engine {
     ///
     /// A serve-mode request's retransmission delay is drawn from the capped
     /// decorrelated-jitter distribution
-    /// ([`RetryConfig::jitter_cap`](crate::RetryConfig::jitter_cap)): a
+    /// ([`JITTER_CAP`](crate::config::JITTER_CAP)): a
     /// pure function of `(seed, seq, attempt)`, so replays of the same
     /// timeline redraw identical delays. Every other request waits the
     /// fixed exponential deadline.

@@ -5,6 +5,10 @@ use super::*;
 use vt_core::{SurvivorPacking, TopologyKind};
 use vt_simnet::{ArrivalGen, DetRng};
 
+/// CHT busy-time skew (the hottest node's share over the mean across live
+/// nodes) at or above which a detector tick counts as skewed.
+const SKEW_THRESHOLD: f64 = 4.0;
+
 /// Live serving-mode state: per-client arrival generators and retry
 /// budgets, the metastability guard, the skew detector, and the counters
 /// the serve report is built from.
@@ -233,9 +237,8 @@ impl Engine {
                 max = max.max(delta);
             }
             #[allow(clippy::cast_precision_loss)]
-            let skewed = total > 0
-                && max as f64
-                    >= self.cfg.serve.skew_threshold * (total as f64 / f64::from(n_nodes));
+            let skewed =
+                total > 0 && max as f64 >= SKEW_THRESHOLD * (total as f64 / f64::from(n_nodes));
             if skewed {
                 s.skew_streak += 1;
             } else {
@@ -466,6 +469,42 @@ mod tests {
         assert!(
             2 * ops_long <= 3 * ops_short,
             "record peak {ops_short} -> {ops_long}"
+        );
+    }
+
+    #[test]
+    fn serve_envelope_slots_are_recycled() {
+        // Coalesced serving over a forwarding topology: every envelope slot
+        // is free once the run drains, and the envelope slab peaks at the
+        // same size whatever the horizon.
+        let envelopes = |horizon_ms: u64| {
+            let mut cfg = serve_cfg(16, TopologyKind::Mfcg, 100_000.0);
+            cfg.procs_per_node = 1;
+            cfg.coalesce = crate::config::CoalesceConfig::on();
+            cfg.serve.horizon = SimTime::from_millis(horizon_ms);
+            cfg.retry.timeout = SimTime::from_micros(20);
+            let mut engine = Engine::new(cfg, idle_programs(&cfg));
+            engine.start();
+            while let Some((now, ev)) = engine.queue.pop() {
+                engine.dispatch(now, ev);
+            }
+            assert_eq!(
+                engine.free_envs.len(),
+                engine.envelopes.len(),
+                "envelope slots still taken after a {horizon_ms} ms run"
+            );
+            (engine.envelopes.len(), engine.coalesce.envelopes)
+        };
+        let (slab_short, assembled_short) = envelopes(2);
+        let (slab_long, assembled_long) = envelopes(8);
+        assert!(slab_short > 0, "no envelope formed");
+        assert!(
+            assembled_long >= 3 * assembled_short,
+            "{assembled_short} -> {assembled_long} envelopes"
+        );
+        assert!(
+            2 * slab_long <= 3 * slab_short,
+            "envelope slab peak {slab_short} -> {slab_long}"
         );
     }
 

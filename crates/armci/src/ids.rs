@@ -1,10 +1,9 @@
 //! Identifiers for processes, nodes and requests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A process rank, global across the job (0-based, dense).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Rank(pub u32);
 
 impl Rank {

@@ -74,9 +74,7 @@ pub mod ops;
 pub mod sim;
 pub mod workload;
 
-pub use config::{
-    ChtConfig, CoalesceConfig, MembershipConfig, RetryConfig, RuntimeConfig, ServeConfig,
-};
+pub use config::{CoalesceConfig, MembershipConfig, RetryConfig, RuntimeConfig, ServeConfig};
 pub use engine::{forward_decision, RepairCertifier, Report, SimError};
 pub use ids::{NodeId, Rank, Sender};
 pub use layout::Layout;

@@ -1,11 +1,10 @@
 //! Runtime memory accounting (the simulated `/proc` VmRSS of paper §V-A).
 
 use crate::config::RuntimeConfig;
-use serde::{Deserialize, Serialize};
 use vt_core::{MemoryModel, VirtualTopology};
 
 /// Memory report for one node / its master process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeMemory {
     /// Bytes of CHT request buffers (in-degree × ppn × M × B).
     pub cht_pool_bytes: u64,

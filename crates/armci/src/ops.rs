@@ -10,10 +10,9 @@
 //! transfers and fetch-&-add.
 
 use crate::ids::Rank;
-use serde::{Deserialize, Serialize};
 
 /// The kind of a one-sided operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Contiguous put — direct RDMA, bypasses the CHT.
     Put,
@@ -66,7 +65,7 @@ mod wire {
 }
 
 /// One one-sided operation issued by a process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Op {
     /// What to do.
     pub kind: OpKind,

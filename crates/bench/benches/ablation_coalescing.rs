@@ -15,7 +15,6 @@
 
 use vt_apps::contention::{run, ContentionConfig, OpSpec, Scenario};
 use vt_apps::{run_parallel, Table};
-use vt_armci::CoalesceConfig;
 use vt_bench::{emit, parse_opts};
 use vt_core::TopologyKind;
 
@@ -38,7 +37,7 @@ fn main() {
             n_procs,
             measure_stride: stride,
             pipelined_contenders: true,
-            coalesce: coalesce.then(CoalesceConfig::on),
+            coalesce,
             ..ContentionConfig::paper(topology, OpSpec::fetch_add(), Scenario::pct20())
         };
         run(&cfg)

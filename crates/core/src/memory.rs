@@ -15,12 +15,11 @@
 //! paid under every topology.
 
 use crate::topology::{NodeId, VirtualTopology};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the buffer-memory model, defaulting to the paper's
 /// measurement setup (§V-A): 16-KiB buffers, 4 buffers per process,
 /// 12 processes per node, ~612 MiB base footprint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryModel {
     /// Size of one CHT request buffer in bytes (`B`). Paper: 16 KiB.
     pub buffer_bytes: u64,

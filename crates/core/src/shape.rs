@@ -9,10 +9,9 @@
 //! top of the highest dimension is incomplete.
 
 use crate::coords::{Coord, MAX_DIMS};
-use serde::{Deserialize, Serialize};
 
 /// Extents of a multi-dimensional grid, lowest dimension first.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<u32>,
     /// `∏ dims`, computed once: every routing decision checks its

@@ -21,14 +21,13 @@
 use crate::coords::Coord;
 use crate::ldf;
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node (vertex) in a virtual topology.
 pub type NodeId = u32;
 
 /// Which of the paper's virtual topologies to build.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Fully connected graph — the ARMCI default resource-allocation graph.
     Fcg,

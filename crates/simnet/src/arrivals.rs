@@ -17,10 +17,9 @@
 
 use crate::rng::DetRng;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The shape of the offered-load curve over time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArrivalKind {
     /// Constant mean rate for the whole run.
     Steady,
@@ -34,7 +33,7 @@ pub enum ArrivalKind {
 
 /// Load phases of a run, used to attribute shed/retry counters to the part
 /// of the offered-load curve that caused them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadPhase {
     /// Before the peak (flash crowd) or in the rising half-period (diurnal).
     Base,
@@ -76,7 +75,7 @@ const MAX_RATE_PER_SEC: f64 = 1e9;
 /// stream, so the machine-wide offered load is `n_clients × rate` (scaled by
 /// the curve). All fields are consulted by every kind; irrelevant ones are
 /// simply unused (e.g. `spike_len` under `Steady`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArrivalProcess {
     /// Curve shape.
     pub kind: ArrivalKind,

@@ -23,11 +23,10 @@
 //! event-for-event identical to one built without a plan at all.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A node failure: at `at`, the node's host processes, helper thread and
 /// NIC all stop. In-flight messages towards it are lost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeCrash {
     /// Instant of the crash.
     pub at: SimTime,
@@ -42,7 +41,7 @@ pub struct NodeCrash {
 pub const MAX_DEGRADE_FACTOR: f64 = 1e6;
 
 /// What a link fault does while active.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinkMode {
     /// The link still works but serialises `factor` times slower
     /// (`1 <= factor <= MAX_DEGRADE_FACTOR`).
@@ -54,7 +53,7 @@ pub enum LinkMode {
 /// A fault on one directed physical link, identified the same way
 /// [`crate::net::Network::top_links`] reports them: torus slot plus
 /// direction index `0..6`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkFault {
     /// Physical torus slot the link leaves from.
     pub slot: u32,
@@ -71,7 +70,7 @@ pub struct LinkFault {
 /// A window of transient loss: each message *arriving* inside the window
 /// is dropped with the given probability (drawn from the machine's
 /// fault RNG stream, so the same seed loses the same messages).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DropWindow {
     /// Start of the lossy window.
     pub from: SimTime,
@@ -85,7 +84,7 @@ pub struct DropWindow {
 /// NIC come back with cold state. Only valid for a node the plan crashed
 /// strictly earlier — the runtime layer revives the node's processes and
 /// re-admits it via a grow-back membership epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeRestart {
     /// Instant of the reboot.
     pub at: SimTime,
@@ -98,7 +97,7 @@ pub struct NodeRestart {
 /// Messages whose send instant falls inside the window are lost at the
 /// sender's NIC; both endpoints stay alive, which is exactly what makes a
 /// partition ambiguous to a crash detector.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Start of the partition.
     pub from: SimTime,
@@ -125,7 +124,7 @@ impl PartitionWindow {
 /// from a dedicated fault RNG stream, so the same seed corrupts the same
 /// messages). A corrupt frame is still delivered — detecting it is the
 /// runtime's job, via end-to-end envelope checksums.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CorruptWindow {
     /// Start of the corrupting window.
     pub from: SimTime,
@@ -136,7 +135,7 @@ pub struct CorruptWindow {
 }
 
 /// A complete, deterministic schedule of injected faults.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Nodes that crash, and when.
     pub node_crashes: Vec<NodeCrash>,
@@ -498,7 +497,7 @@ impl std::fmt::Display for FaultPlanError {
 impl std::error::Error for FaultPlanError {}
 
 /// Why a message was lost instead of delivered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DropReason {
     /// The sending node was already dead.
     SourceDead,

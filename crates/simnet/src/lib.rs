@@ -61,7 +61,7 @@ pub use fault::{
     CorruptWindow, DropReason, DropWindow, FaultPlan, FaultPlanError, LinkFault, LinkMode,
     NodeCrash, NodeRestart, PartitionWindow,
 };
-pub use net::{Delivery, Frame, Network, SendOutcome};
+pub use net::{Delivery, Frame, Network, SendOutcome, ENV_SUB_HEADER};
 pub use nic::Nic;
 pub use placement::Placement;
 pub use rng::DetRng;

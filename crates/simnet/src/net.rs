@@ -37,6 +37,16 @@ pub struct Delivery {
     pub incarnation: u8,
 }
 
+/// Framing overhead per envelope member beyond the first: the sub-request
+/// length/offset descriptor that lets the receiver split a coalesced
+/// envelope back into individual requests.
+pub const ENV_SUB_HEADER: u64 = 16;
+
+/// Receiver-side cost to demultiplex one additional sub-request out of a
+/// coalesced envelope (paid per member beyond the first; the first member
+/// rides the ordinary `rx_base` fast path).
+const ENV_UNPACK: SimTime = SimTime::from_nanos(40);
+
 /// One frame on the wire. Its kind decides how many bytes it puts on the
 /// links, what extra demultiplexing the receiver pays, and which traffic
 /// counters it bumps; the route is the same for all three.
@@ -45,9 +55,9 @@ pub enum Frame {
     /// An ordinary message of this many payload bytes.
     Message(u64),
     /// A coalesced envelope of `subreqs` member requests: one wire message
-    /// sized by [`NetworkConfig::envelope_bytes`] (payload plus per-member
-    /// framing). The receiver touches its stream table and pays `rx_base`
-    /// once, plus `env_unpack` per member beyond the first — where
+    /// of the payload plus [`ENV_SUB_HEADER`] per member beyond the first.
+    /// The receiver touches its stream table and pays `rx_base` once, plus
+    /// `ENV_UNPACK` (40 ns) per member beyond the first — where
     /// coalescing wins at a hot receiver, since `n` singles would pay
     /// `rx_base` (and risk a BEER miss) `n` times. Envelopes exist only on
     /// the forwarding path, so they are inter-node by construction.
@@ -67,16 +77,16 @@ pub enum Frame {
 impl Frame {
     /// Bytes the frame puts on the wire, and the receiver's demultiplexing
     /// cost on top of its RX drain.
-    fn size(self, cfg: &NetworkConfig) -> (u64, SimTime) {
+    fn size(self) -> (u64, SimTime) {
         match self {
             Frame::Message(bytes) | Frame::Probe(bytes) => (bytes, SimTime::ZERO),
             Frame::Envelope {
                 payload_bytes,
                 subreqs,
-            } => (
-                cfg.envelope_bytes(payload_bytes, subreqs),
-                cfg.env_unpack * u64::from(subreqs.saturating_sub(1)),
-            ),
+            } => {
+                let extra = u64::from(subreqs.saturating_sub(1));
+                (payload_bytes + ENV_SUB_HEADER * extra, ENV_UNPACK * extra)
+            }
         }
     }
 }
@@ -381,7 +391,7 @@ impl Network {
             Reach::Local => c.local_messages += 1,
             Reach::Wire { hops } => {
                 c.messages += 1;
-                c.bytes += frame.size(&self.cfg).0;
+                c.bytes += frame.size().0;
                 c.hops += u64::from(hops);
                 if let Frame::Envelope { subreqs, .. } = frame {
                     c.envelopes += 1;
@@ -441,7 +451,7 @@ impl Network {
         }
 
         // Transmit engine: software overhead + injection DMA.
-        let (bytes, unpack) = frame.size(&self.cfg);
+        let (bytes, unpack) = frame.size();
         let entered =
             self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
 
@@ -685,7 +695,7 @@ mod tests {
         assert_eq!(c.envelopes, 1);
         assert_eq!(c.coalesced_requests, 4);
         // Framing bytes: payload + 3 sub-headers.
-        assert_eq!(c.bytes, 4 * 160 + env_net.config().env_sub_header * 3);
+        assert_eq!(c.bytes, 4 * 160 + ENV_SUB_HEADER * 3);
         assert_eq!(single_net.counters().messages, 4);
         assert_eq!(single_net.counters().envelopes, 0);
     }
@@ -703,10 +713,10 @@ mod tests {
         const ALL: [Kind; 3] = [Kind::Message, Kind::Envelope, Kind::Probe];
 
         /// Bytes on the wire and the receiver's extra unpack cost.
-        fn wire(self, cfg: &NetworkConfig) -> (u64, SimTime) {
+        fn wire(self) -> (u64, SimTime) {
             match self {
                 Kind::Message => (256, SimTime::ZERO),
-                Kind::Envelope => (cfg.envelope_bytes(640, 4), cfg.env_unpack * 3),
+                Kind::Envelope => (640 + ENV_SUB_HEADER * 3, ENV_UNPACK * 3),
                 Kind::Probe => (64, SimTime::ZERO),
             }
         }
@@ -832,7 +842,7 @@ mod tests {
                 }
                 let out = net.transmit(now, src, to, kind.frame());
 
-                let (bytes, unpack) = kind.wire(&cfg);
+                let (bytes, unpack) = kind.wire();
                 let entered = now + cfg.tx_overhead + cfg.inj_time(bytes);
                 let arrival = entered + cfg.hop_latency * u64::from(hops) + cfg.link_time(bytes);
                 let mut want = NetCounters {

@@ -104,9 +104,6 @@ pub struct Nic {
     tx_busy: SimTime,
     rx_busy: SimTime,
     streams: StreamTable,
-    stream_misses: u64,
-    rx_messages: u64,
-    tx_messages: u64,
 }
 
 impl Nic {
@@ -116,9 +113,6 @@ impl Nic {
             tx_busy: SimTime::ZERO,
             rx_busy: SimTime::ZERO,
             streams: StreamTable::new(stream_contexts),
-            stream_misses: 0,
-            rx_messages: 0,
-            tx_messages: 0,
         }
     }
 
@@ -134,7 +128,6 @@ impl Nic {
         let start = earliest.max(self.tx_busy);
         let done = start + overhead + injection;
         self.tx_busy = done;
-        self.tx_messages += 1;
         done
     }
 
@@ -159,33 +152,11 @@ impl Nic {
         let mut cost = base + drain;
         if !hit {
             cost += miss_penalty;
-            self.stream_misses += 1;
         }
         let start = arrival.max(self.rx_busy);
         let done = start + cost;
         self.rx_busy = done;
-        self.rx_messages += 1;
         (done, !hit)
-    }
-
-    /// Time at which the receive engine frees up.
-    pub fn rx_busy_until(&self) -> SimTime {
-        self.rx_busy
-    }
-
-    /// Number of BEER slow-path events taken so far.
-    pub fn stream_misses(&self) -> u64 {
-        self.stream_misses
-    }
-
-    /// Messages received.
-    pub fn rx_messages(&self) -> u64 {
-        self.rx_messages
-    }
-
-    /// Messages transmitted.
-    pub fn tx_messages(&self) -> u64 {
-        self.tx_messages
     }
 }
 
@@ -338,7 +309,6 @@ mod tests {
         );
         assert_eq!(a, SimTime::from_nanos(100));
         assert_eq!(b, SimTime::from_nanos(200));
-        assert_eq!(nic.tx_messages(), 2);
     }
 
     #[test]
@@ -362,8 +332,6 @@ mod tests {
         );
         assert!(!missed);
         assert_eq!(done, SimTime::from_nanos(120));
-        assert_eq!(nic.stream_misses(), 1);
-        assert_eq!(nic.rx_messages(), 2);
     }
 
     #[test]
@@ -384,6 +352,5 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(done, SimTime::from_nanos(200));
-        assert_eq!(nic.rx_busy_until(), done);
     }
 }

@@ -9,10 +9,9 @@
 
 use crate::rng::DetRng;
 use crate::torus::Torus3;
-use serde::{Deserialize, Serialize};
 
 /// How logical nodes are assigned to torus slots.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Placement {
     /// Logical node `i` occupies slot `i` (row-major through the torus).
     /// Physical distance then grows with rank distance, as in the paper's

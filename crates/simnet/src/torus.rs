@@ -6,8 +6,6 @@
 //! wraparound direction per dimension, and enumerates the directed links a
 //! message occupies.
 
-use serde::{Deserialize, Serialize};
-
 /// Direction of a torus link leaving a router.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dir {
@@ -29,7 +27,7 @@ pub enum Dir {
 pub type LinkId = u32;
 
 /// A 3-D torus of router slots.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Torus3 {
     dims: [u32; 3],
 }

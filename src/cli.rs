@@ -16,7 +16,7 @@ use vt_apps::nwchem_dft::DftConfig;
 use vt_apps::repair::{RepairOutcome, RepairScenarioConfig};
 use vt_apps::serve::{CurvePoint, ServeOutcome, ServeScenarioConfig};
 use vt_apps::Table;
-use vt_armci::{CoalesceConfig, OpKind};
+use vt_armci::OpKind;
 use vt_core::json::{Fixed, Object};
 use vt_core::{analyze, DependencyGraph, MemoryModel, RequestTree, TopologyKind, VirtualTopology};
 
@@ -471,9 +471,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
             let ppn = flags.take_count("ppn", 4)?;
             let measure_stride: u32 = flags.take("stride", 16)?;
             let iterations: u32 = flags.take("iterations", 20)?;
-            let coalesce = flags
-                .take_switch("coalesce", false)?
-                .then(CoalesceConfig::on);
+            let coalesce = flags.take_switch("coalesce", false)?;
             flags.finish()?;
             if n_procs <= ppn {
                 // The experiment measures ranks off rank 0's node.
@@ -503,7 +501,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 o.cht.forwarded,
                 o.finish.as_secs_f64(),
             );
-            if coalesce.is_some() {
+            if coalesce {
                 out.push_str(&format!(
                     "coalescing: {} envelopes folded {} requests ({} physical forwards, {} net messages)\n",
                     o.cht.envelopes, o.cht.coalesced, o.cht.fwd_messages, o.net.messages,

@@ -22,13 +22,13 @@ struct DiffSpec {
     ops_per_rank: u32,
     op_mix: u8,
     target_seed: u32,
-    /// Index into [`MAX_BYTES_CHOICES`].
-    max_bytes_pick: u8,
+    /// Index into [`BUFFER_BYTES_CHOICES`].
+    buffer_bytes_pick: u8,
 }
 
-/// Envelope budgets exercised: far below one request pair, mid-size, and
-/// the full 16-KiB default.
-const MAX_BYTES_CHOICES: [u64; 3] = [256, 1024, 16 * 1024];
+/// Request-buffer sizes exercised, which bound an envelope: far below one
+/// request pair, mid-size, and the full 16-KiB default.
+const BUFFER_BYTES_CHOICES: [u64; 3] = [256, 1024, 16 * 1024];
 
 fn diff_strategy() -> impl Strategy<Value = DiffSpec> {
     (
@@ -47,7 +47,16 @@ fn diff_strategy() -> impl Strategy<Value = DiffSpec> {
         0u8..3,
     )
         .prop_map(
-            |(kind, n_procs, ppn, buffers, ops_per_rank, op_mix, target_seed, max_bytes_pick)| {
+            |(
+                kind,
+                n_procs,
+                ppn,
+                buffers,
+                ops_per_rank,
+                op_mix,
+                target_seed,
+                buffer_bytes_pick,
+            )| {
                 let mut spec = DiffSpec {
                     kind,
                     n_procs,
@@ -56,7 +65,7 @@ fn diff_strategy() -> impl Strategy<Value = DiffSpec> {
                     ops_per_rank,
                     op_mix,
                     target_seed,
-                    max_bytes_pick,
+                    buffer_bytes_pick,
                 };
                 // Hypercubes only exist over power-of-two populations; snap
                 // the process count down so every generated spec is valid.
@@ -82,13 +91,12 @@ fn build_op(spec: &DiffSpec, rank: u32, i: u32) -> Op {
     }
 }
 
-fn run_spec(spec: &DiffSpec, coalesce: Option<CoalesceConfig>) -> Report {
+fn run_spec(spec: &DiffSpec, coalesce: bool) -> Report {
     let mut cfg = RuntimeConfig::new(spec.n_procs, spec.kind);
     cfg.procs_per_node = spec.ppn;
     cfg.buffers_per_proc = spec.buffers;
-    if let Some(c) = coalesce {
-        cfg.coalesce = c;
-    }
+    cfg.buffer_bytes = BUFFER_BYTES_CHOICES[spec.buffer_bytes_pick as usize];
+    cfg.coalesce.enabled = coalesce;
     let sim = Simulation::build(cfg, |rank| {
         let mut actions = Vec::new();
         for i in 0..spec.ops_per_rank {
@@ -101,13 +109,6 @@ fn run_spec(spec: &DiffSpec, coalesce: Option<CoalesceConfig>) -> Report {
     sim.run().expect("workload must never deadlock")
 }
 
-fn coalesce_cfg(spec: &DiffSpec) -> CoalesceConfig {
-    CoalesceConfig {
-        max_bytes: Some(MAX_BYTES_CHOICES[spec.max_bytes_pick as usize]),
-        ..CoalesceConfig::on()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -115,8 +116,8 @@ proptest! {
     /// identical; only message/timing counters may differ.
     #[test]
     fn coalescing_is_semantically_invisible(spec in diff_strategy()) {
-        let off = run_spec(&spec, None);
-        let on = run_spec(&spec, Some(coalesce_cfg(&spec)));
+        let off = run_spec(&spec, false);
+        let on = run_spec(&spec, true);
         let expect = u64::from(spec.n_procs) * u64::from(spec.ops_per_rank);
         prop_assert_eq!(off.metrics.total_ops(), expect);
         prop_assert_eq!(on.metrics.total_ops(), expect);
@@ -144,8 +145,8 @@ proptest! {
     /// A coalesced run reproduces bit-identically.
     #[test]
     fn coalesced_runs_replay_bit_identically(spec in diff_strategy()) {
-        let a = run_spec(&spec, Some(coalesce_cfg(&spec)));
-        let b = run_spec(&spec, Some(coalesce_cfg(&spec)));
+        let a = run_spec(&spec, true);
+        let b = run_spec(&spec, true);
         prop_assert_eq!(a.finish_time, b.finish_time);
         prop_assert_eq!(a.net, b.net);
         prop_assert_eq!(a.events, b.events);

@@ -249,20 +249,19 @@ fn hotspot(rank: Rank) -> ScriptProgram {
     }
 }
 
-fn run_hotspot(max_bytes: u64) -> Report {
+/// An envelope occupies one request buffer, so `buffer_bytes` bounds it.
+fn run_hotspot(buffer_bytes: u64) -> Report {
     let mut cfg = RuntimeConfig::new(9, TopologyKind::Mfcg);
     cfg.procs_per_node = 1;
-    cfg.coalesce = CoalesceConfig {
-        max_bytes: Some(max_bytes),
-        ..CoalesceConfig::on()
-    };
+    cfg.buffer_bytes = buffer_bytes;
+    cfg.coalesce = CoalesceConfig::on();
     Simulation::build(cfg, hotspot).run().expect("completes")
 }
 
 #[test]
 fn envelope_splits_exactly_at_the_byte_boundary() {
     let rb = Op::fetch_add(Rank(0), 1).request_bytes();
-    let sub = RuntimeConfig::new(9, TopologyKind::Mfcg).net.env_sub_header;
+    let sub = vt_simnet::ENV_SUB_HEADER;
     // Budget for exactly three members: wire bytes are 3*rb plus one
     // sub-header per member after the first.
     let exact = 3 * rb + 2 * sub;
