@@ -157,10 +157,9 @@ pub struct ContentionConfig {
     pub pipelined_contenders: bool,
     /// Switch request coalescing on (ablations; off by default).
     pub coalesce: bool,
-    /// Override of the membership/repair policy (ablations). `None` keeps
-    /// the runtime default (off), which is byte-identical to a build
-    /// without the subsystem.
-    pub membership: Option<vt_armci::MembershipConfig>,
+    /// Switch membership repair on (ablations; off by default, which is
+    /// byte-identical to a build without the subsystem).
+    pub membership: bool,
 }
 
 impl ContentionConfig {
@@ -181,7 +180,7 @@ impl ContentionConfig {
             net: None,
             pipelined_contenders: false,
             coalesce: false,
-            membership: None,
+            membership: false,
         }
     }
 }
@@ -376,9 +375,7 @@ pub fn try_run(cfg: &ContentionConfig) -> Result<ContentionOutcome, crate::RunEr
         rt.net.placement = p;
     }
     rt.coalesce.enabled = cfg.coalesce;
-    if let Some(m) = cfg.membership {
-        rt.membership = m;
-    }
+    rt.membership.enabled = cfg.membership;
     // Pre-flight: refuse to burn simulation time on a configuration the
     // static verifier cannot certify deadlock-free.
     if let Err(report) = vt_analyze::certify(&rt, None) {
@@ -450,7 +447,7 @@ mod tests {
             net: None,
             pipelined_contenders: false,
             coalesce: false,
-            membership: None,
+            membership: false,
         }
     }
 

@@ -390,6 +390,9 @@ pub struct Report {
     pub memory_node0: crate::memory::NodeMemory,
     /// Total events processed.
     pub events: u64,
+    /// Where the event queue filed each scheduled event (fine ring, coarse
+    /// tier or overflow heap): exact work counts of the FEL.
+    pub fel: vt_simnet::FelStats,
     /// The eight busiest physical links `(slot, direction, bytes)` —
     /// tree saturation around hot nodes made visible.
     pub top_links: Vec<(u32, u8, u64)>,
@@ -710,6 +713,7 @@ impl Engine {
             cht_totals,
             memory_node0,
             events: self.queue.processed(),
+            fel: self.queue.stats(),
             top_links,
             faults: self.faults,
             coalesce: self.coalesce,

@@ -74,6 +74,31 @@ fn bench_event_queue() {
         }
         black_box(sum);
     });
+    // The classic hold model over 1 000 pending events with the uniform
+    // workload's delay mix: half the successors land 0.5–2 ms ahead (NIC
+    // receive queues), one in eight is a 5 ms response timer and the rest
+    // fall within 100 µs. Past 0.5 ms the coarse tier and its pours do the
+    // work.
+    let mut q = EventQueue::new();
+    let mut x = 1u64;
+    let mut delay = move || {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let r = x >> 33;
+        SimTime::from_nanos(match r % 8 {
+            0..=3 => 500_000 + r % 1_500_000,
+            4 => 5_000_000,
+            _ => r % 100_000,
+        })
+    };
+    for i in 0..1000u64 {
+        q.schedule(delay(), i);
+    }
+    bench("event_queue/hold-uniform-mix-1k", || {
+        let (at, e) = q
+            .pop()
+            .unwrap_or_else(|| unreachable!("hold keeps 1 000 pending"));
+        q.schedule(at + delay(), black_box(e));
+    });
 }
 
 fn bench_stream_table() {

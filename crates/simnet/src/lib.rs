@@ -56,7 +56,7 @@ pub mod torus;
 
 pub use arrivals::{ArrivalGen, ArrivalKind, ArrivalProcess, LoadPhase};
 pub use config::NetworkConfig;
-pub use engine::{BaselineEventQueue, EventQueue};
+pub use engine::{BaselineEventQueue, EventQueue, FelStats};
 pub use fault::{
     CorruptWindow, DropReason, DropWindow, FaultPlan, FaultPlanError, LinkFault, LinkMode,
     NodeCrash, NodeRestart, PartitionWindow,

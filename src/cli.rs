@@ -86,6 +86,18 @@ impl Flags {
         Ok(vt_armci::SimTime::from_micros(us))
     }
 
+    /// Takes `--seed` in decimal or in the `0x` hex form reports print.
+    pub fn take_seed(&mut self, default: u64) -> Result<u64, String> {
+        match self.map.remove("seed") {
+            None => Ok(default),
+            Some(v) => match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => v.parse(),
+            }
+            .map_err(|_| format!("invalid value for --seed: '{v}' (decimal or 0x hex)")),
+        }
+    }
+
     /// Takes an `on|off` switch.
     pub fn take_switch(&mut self, key: &str, default: bool) -> Result<bool, String> {
         match self.map.remove(key).as_deref() {
@@ -231,7 +243,7 @@ COMMANDS
               percentiles (and the goodput-vs-offered-load curve with
               --curve); exits non-zero unless the exactly-once ledger
               balances with zero credit leaks
-  chaos       [--cells 64] [--ppn 4] [--ops 12] [--seed 50336]
+  chaos       [--cells 64] [--ppn 4] [--ops 12] [--seed 0xc4a0]
               [--threads 0] [--quick] [--format human|json]
               deterministic chaos campaign: randomised composite fault
               schedules (crashes, reboots, partitions, loss, payload
@@ -802,7 +814,7 @@ pub fn run_command(cmd: &str, args: &[String]) -> Result<String, String> {
                 cells: flags.take("cells", base.cells)?,
                 ppn: flags.take_count("ppn", base.ppn)?,
                 ops_per_rank: flags.take("ops", base.ops_per_rank)?,
-                seed: flags.take("seed", base.seed)?,
+                seed: flags.take_seed(base.seed)?,
                 threads: flags.take("threads", base.threads)?,
             };
             flags.finish()?;

@@ -1,21 +1,24 @@
 //! Differential proof of the calendar-queue future event list.
 //!
-//! The simulator's hot path — `EventQueue`, a calendar/ladder queue with
-//! an occupancy bitmap and an overflow heap — must be *observably
-//! indistinguishable* from `BaselineEventQueue`, the straightforward
-//! `BinaryHeap` FEL it replaced (kept precisely to serve as this oracle).
-//! The contract is exact (time, insertion-sequence) FIFO order: ties at
-//! one instant pop in schedule order.
+//! The simulator's hot path — `EventQueue`, a two-tier calendar queue (a
+//! fine ring of 128 ns buckets over one 0.5 ms epoch, a coarse tier of
+//! 0.5 ms buckets reaching about 2.1 s ahead, every resting event in one
+//! slab, and a binary heap only for events past the coarse horizon) —
+//! must be *observably indistinguishable* from `BaselineEventQueue`, the
+//! straightforward `BinaryHeap` FEL it replaced (kept precisely to serve as
+//! this oracle). The contract is exact (time, insertion-sequence) FIFO
+//! order: ties at one instant pop in schedule order.
 //!
 //! Every case drives both queues through one randomly generated
 //! interleaving of schedules, same-instant bursts, and pops, asserting
 //! identical observable state after every step. Delays are drawn across
-//! all three regimes of the calendar — zero (same-instant bursts), within
-//! one bucket width, across the ring, and far past it into the overflow
-//! heap — so bucket rotation, bitmap scans, and overflow migration are
-//! all crossed with tie-breaking. Half the cases start the clock within a
-//! few ring horizons of `u64::MAX` ns, where delays saturate at the end of
-//! time and the ring's horizon arithmetic must not wrap.
+//! every regime of the calendar — zero (same-instant bursts), within one
+//! bucket width, across the fine ring, across coarse buckets, straddling
+//! the coarse horizon, and far past it into the heap — so bucket rotation,
+//! bitmap scans, coarse pours and heap migration are all crossed with
+//! tie-breaking. Half the cases start the clock within a few coarse
+//! horizons of `u64::MAX` ns, where delays saturate at the end of time and
+//! the tiers' horizon arithmetic must not wrap.
 
 use proptest::prelude::*;
 use vt_simnet::{BaselineEventQueue, EventQueue, SimTime};
@@ -57,14 +60,22 @@ fn mix(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Width of the fine ring, which is one coarse bucket: 4096 × 128 ns.
+const RING_SPAN: u64 = 4096 * 128;
+/// Reach of the coarse tier: 4096 coarse buckets, ≈ 2.1 s.
+const COARSE_HORIZON: u64 = 4096 * RING_SPAN;
+
 /// A delay spanning all calendar regimes: zero, sub-bucket (< 128 ns),
-/// in-ring (< 4096 × 128 ns), and deep overflow.
+/// in-ring (< 4096 × 128 ns), across coarse buckets (< 50 ms), within one
+/// fine ring of the coarse horizon, and up to 10 s, mostly in the heap.
 fn delay(r: u64) -> SimTime {
-    SimTime::from_nanos(match r % 4 {
+    SimTime::from_nanos(match r % 6 {
         0 => 0,
         1 => r % 128,
-        2 => r % (4096 * 128),
-        _ => r % 50_000_000,
+        2 => r % RING_SPAN,
+        3 => r % 50_000_000,
+        4 => COARSE_HORIZON - RING_SPAN + r % (2 * RING_SPAN),
+        _ => r % 10_000_000_000,
     })
 }
 
@@ -76,8 +87,8 @@ fn run_differential(spec: &InterleavingSpec) {
     let mut slow: BaselineEventQueue<u64> = BaselineEventQueue::new();
     let mut payload = 0u64;
     if spec.near_end {
-        // Up to three ring horizons (4096 × 128 ns each) before the end.
-        let start = SimTime::from_nanos(u64::MAX - mix(&mut x) % (3 * 4096 * 128));
+        // Up to three coarse horizons before the end.
+        let start = SimTime::from_nanos(u64::MAX - mix(&mut x) % (3 * COARSE_HORIZON));
         fast.schedule(start, payload);
         slow.schedule(start, payload);
         assert_eq!(fast.pop(), slow.pop());
@@ -152,17 +163,17 @@ fn same_instant_bursts_pop_in_schedule_order() {
 
 #[test]
 fn overflow_events_migrate_back_into_the_ring() {
-    // Events far beyond the calendar ring land in the overflow heap and
-    // must still interleave correctly with near-term events as the ring
-    // rotates out to them.
+    // Events beyond the fine ring rest in the coarse tier, and events past
+    // the coarse horizon in the overflow heap; both must still interleave
+    // correctly with near-term events as the tiers rotate out to them.
     let mut fast: EventQueue<u32> = EventQueue::new();
     let mut slow: BaselineEventQueue<u32> = BaselineEventQueue::new();
     for i in 0..200u32 {
-        // Alternate near (in-ring) and far (overflow) horizons.
-        let ns = if i % 2 == 0 {
-            u64::from(i) * 37
-        } else {
-            10_000_000 + u64::from(i) * 4093
+        // Rotate near (in-ring), far (coarse) and farthest (heap) horizons.
+        let ns = match i % 3 {
+            0 => u64::from(i) * 37,
+            1 => 10_000_000 + u64::from(i) * 4093,
+            _ => 3 * COARSE_HORIZON + u64::from(i) * 1_000_003,
         };
         fast.schedule(SimTime::from_nanos(ns), i);
         slow.schedule(SimTime::from_nanos(ns), i);

@@ -32,12 +32,6 @@ fn membership_requested() -> bool {
     std::env::var_os("VT_GOLDEN_MEMBERSHIP").is_some_and(|v| v != "0")
 }
 
-/// The membership override the figure pipelines run under (see
-/// [`membership_requested`]).
-fn figure_membership() -> Option<vt_armci::MembershipConfig> {
-    membership_requested().then(vt_armci::MembershipConfig::on)
-}
-
 /// FNV-1a hash of the canonical figure-configuration descriptor. Stamped
 /// into every golden header so a snapshot records which protocol
 /// configuration produced it.
@@ -198,7 +192,7 @@ fn contention_figure(title: &str, op: OpSpec) -> String {
             n_procs: 64,
             measure_stride: 8,
             iterations: 4,
-            membership: figure_membership(),
+            membership: membership_requested(),
             ..ContentionConfig::paper(topology, op, scenario)
         };
         let o = run(&cfg);

@@ -284,3 +284,39 @@ fn goodput_plateaus_past_saturation() {
         "goodput collapsed past saturation: {points:?}"
     );
 }
+
+// ---- event queue: exact per-tier counts ----------------------------------
+
+/// Every scheduled event is counted once, in the tier it was filed in, so
+/// the three counts sum to the events processed by a run that drains its
+/// queue. Serving's 5 ms response timers and client arrivals and the hot
+/// spot's forwarding all fall within the coarse tier's ~2.1 s reach: none
+/// reaches the overflow heap.
+#[test]
+fn fel_tiers_count_every_event_and_the_heap_none() {
+    let mut flash = ServeScenarioConfig::flash_crowd();
+    flash.horizon = SimTime::from_millis(10);
+    let serving = Simulation::build(flash.runtime_config(), |_| ScriptProgram::new(vec![]))
+        .run()
+        .expect("flash crowd completes");
+    let hotspot = run_hotspot(
+        &DiffSpec {
+            kind: TopologyKind::Mfcg,
+            n_procs: 64,
+            ppn: 4,
+            ops_per_rank: 8,
+            seed: 1,
+            rate: 1.0,
+            queue_cap: 1,
+            retry_budget: 0,
+            load_repack: false,
+        },
+        None,
+    );
+    for (name, r) in [("serve", &serving), ("hotspot", &hotspot)] {
+        let f = r.fel;
+        assert_eq!(f.ring + f.coarse + f.heap, r.events, "{name}: {f:?}");
+        assert_eq!(f.heap, 0, "{name}: {f:?}");
+        assert!(f.ring > 0 && f.coarse > 0, "{name}: {f:?}");
+    }
+}
